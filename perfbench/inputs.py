@@ -30,9 +30,12 @@ from repro.generators.mallows_ties import mallows_ties_dataset
 from repro.generators.markov import markov_dataset
 from repro.generators.permutations import plackett_luce_dataset
 from repro.generators.uniform import sample_uniform_ranking, uniform_dataset
+from repro.workloads.churn import ChurnProfile
+from repro.workloads.http_load import HttpLoadProfile
 
 # --------------------------------------------------------------------------- #
-# Fixed workload parameters (also listed in spec.json and README.md)
+# Fixed workload parameters (also listed in spec.json and README.md, which
+# says for each one whether it is taken from the repository or assumed)
 # --------------------------------------------------------------------------- #
 #: (family, m, n) of the bases behind serve-warm and serve-cold members.
 SERVE_SIZE_MIX = (
@@ -56,14 +59,20 @@ PINNED_SIZE_MIX = (
 )
 SERVE_BUDGET_SECONDS = 0.05
 WARM_POPULATION = 32
-WARM_ZIPF_EXPONENT = 1.0
+WARM_ZIPF_EXPONENT = HttpLoadProfile().skew  # the repo's load-generator default
 WARM_OPEN_LOOP_RPS = 24.0
 WARM_CLOSED_SHARE = 0.3  # of --seconds; the open loop gets the rest
 MEMORY_ENTRIES = 4  # per shard; 2 shards hold 8 of the 32 warm members
 PINNED_POPULATION = 300
 LIVE_M, LIVE_N = 50, 200
 LIVE_REPAIR_EVERY = 8  # K: an explicit /repair after every K mutations
-LIVE_READ_SHARE = 0.6
+LIVE_READ_SHARE = 0.6  # assumed: no source fixes the read/write mix
+#: Shares of (add, remove, update) mutations: the update share of the repo's
+#: churn stream (ChurnProfile.mutation_mix), the rest split evenly between
+#: adds and removes so the session stays near LIVE_M rankings.
+_UPDATE_SHARE = ChurnProfile().mutation_mix[2] / sum(ChurnProfile().mutation_mix)
+MUTATION_MIX = ((1 - _UPDATE_SHARE) / 2, (1 - _UPDATE_SHARE) / 2, _UPDATE_SHARE)
+COLD_SUPPLY_RPS = 25  # cold members drawn up front per second; more on demand
 PROBE_MUTATIONS = 24  # per round, write probe on serve-warm and serve-cold
 PROBE_INITIAL_SEED = 2015  # the probe session starts from fixed content
 BATCH_TIMED_PREFIX = "paper-"  # p50/tail time the runs on these datasets
@@ -246,22 +255,29 @@ def warm_inputs(seed: int, seconds: float, rounds: int = ROUNDS) -> WarmInputs:
 @dataclass
 class ColdInputs:
     bases: list[Base]
-    members: list[Member]  # one per request, in sending order
+    rng: np.random.Generator
+    members: list[Member] = field(default_factory=list)  # one per request, in sending order
+
+    def member(self, index: int) -> Member:
+        """The ``index``-th cold dataset.  Members are drawn from the seeded
+        generator in sending order, so the supply never runs out and a seed
+        gives the same sequence however many of them a run sends."""
+        while len(self.members) <= index:
+            i = len(self.members)
+            base = i % len(self.bases)
+            self.members.append(make_member(f"cold-{i:04d}", base, self.bases[base], self.rng))
+        return self.members[index]
 
     def digest(self) -> str:
         return _digest([m.text for m in self.members])
 
 
 def cold_inputs(seed: int, seconds: float) -> ColdInputs:
-    bases = build_bases(seed, SERVE_SIZE_MIX, "serve-bases")
-    rng = rng_for(seed, "serve-cold")
-    # A cold request takes at least the 50 ms budget: 25 per second is a cap.
-    count = int(25 * seconds) + 10
-    members = [
-        make_member(f"cold-{i:04d}", i % len(bases), bases[i % len(bases)], rng)
-        for i in range(count)
-    ]
-    return ColdInputs(bases, members)
+    """Draws a supply of members before the timed loop, which draws more
+    only when a faster cold path outruns it."""
+    data = ColdInputs(build_bases(seed, SERVE_SIZE_MIX, "serve-bases"), rng_for(seed, "serve-cold"))
+    data.member(int(COLD_SUPPLY_RPS * seconds) + 9)
+    return data
 
 
 @dataclass
@@ -299,10 +315,11 @@ def mutation_ops(
         if reads and rng.random() < read_share:
             ops.append({"op": "read", "member": int(rng.integers(reads))})
             continue
+        add, remove, _ = MUTATION_MIX
         draw = rng.random()
-        if draw < 0.3 and m < LIVE_M + 10 or m <= LIVE_M - 10:
+        if draw < add and m < LIVE_M + 10 or m <= LIVE_M - 10:
             kind = "add"
-        elif draw < 0.6:
+        elif draw < add + remove:
             kind = "remove"
         else:
             kind = "update"

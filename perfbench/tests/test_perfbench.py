@@ -38,10 +38,13 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 @pytest.mark.parametrize("make", [
     lambda seed: inp.warm_inputs(seed, 4).digest(),
     lambda seed: inp.cold_inputs(seed, 2).digest(),
+    # cold members drawn past the supply drawn up front
+    lambda seed: inp._digest([inp.cold_inputs(seed, 1).member(k).text for k in range(40, 44)]),
     lambda seed: inp.live_inputs(seed, 2).digest(),
     lambda seed: inp.batch_digest(inp.batch_inputs(seed)),
     lambda seed: inp._digest(inp.probe_inputs(seed).initial, inp.probe_inputs(seed).ops),
-], ids=["serve-warm", "serve-cold", "live-churn", "batch-paper", "write-probe"])
+], ids=["serve-warm", "serve-cold", "serve-cold-on-demand", "live-churn", "batch-paper",
+        "write-probe"])
 def test_same_seed_gives_identical_inputs_and_schedules(make):
     assert make(7) == make(7)
     assert make(7) != make(8)
