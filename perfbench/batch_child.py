@@ -5,17 +5,22 @@ child writes ``WORKDIR/ready`` (the end of set-up) and waits for commands
 on stdin: ``run`` executes ``WORKDIR/job.json`` and writes
 ``WORKDIR/result.json`` then ``WORKDIR/done``; ``exit`` ends the process.
 
-The job runs in rounds; each round has three timed phases, all on the
-serial backend:
+The job has two parts, each one ``ExecutionEngine.run``: the *paper* part
+(the suite on the m=50, n=100 datasets) and the *gap* part (the suite and
+the exact reference on the small datasets).  It runs in rounds; each round
+has three timed phases, all on the serial backend:
 
-1. cold passes — the whole job against a fresh ``ResultCache`` with the
+1. a cold pass — both parts against a fresh ``ResultCache`` with the
    worker plan cache cleared, so every run and every plan build executes;
-2. cached passes — the same job, on fresh dataset objects, against the
+2. cached passes — both parts again, on fresh dataset objects, against the
    populated cache (only fingerprinting and cache reads remain);
-3. edits — one ranking of one exact-reference dataset changes; the edit is
-   acknowledged once the cache no longer holds the stale dataset's records
-   (``ResultCache.invalidate``), and the job is then run again, which
-   recomputes only the edited dataset.
+3. edits — one ranking of the edited exact-reference dataset changes; the
+   edit is acknowledged once the cache no longer holds the stale dataset's
+   records (``ResultCache.invalidate``), and the gap part is then run
+   again, which recomputes only the edited dataset.
+
+Every phase records its [start, end] on CLOCK_MONOTONIC, so the benchmark
+can convert it to reference seconds (``perfbench/speed.py``).
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from repro.engine.fingerprint import dataset_fingerprint  # noqa: E402
 from repro.engine.job import BatchJob  # noqa: E402
 
 ALGORITHM_SEED = 2015
+PARTS = ("paper", "gap")  # one engine run each: m=50/n=100 datasets, exact-reference ones
 CACHED_SHARE = 0.25  # of a round's seconds, spent on cached passes
 
 
@@ -64,18 +70,15 @@ def build_job(job: dict, datasets: list[Dataset]) -> BatchJob:
     )
 
 
-def score_ratio(report) -> float:
+def score_ratio(reports) -> float:
     """Mean of score / best known score (the exact optimum where solved)."""
+    runs = [run for report in reports for run in report.runs if run.score is not None]
     best: dict[str, int] = {}
-    for run in report.runs:
-        if run.score is not None:
-            best[run.dataset] = min(best.get(run.dataset, run.score), run.score)
-    best.update(report.optimal_scores)
-    ratios = [
-        run.score / best[run.dataset] if best[run.dataset] else 1.0
-        for run in report.runs
-        if run.score is not None
-    ]
+    for run in runs:
+        best[run.dataset] = min(best.get(run.dataset, run.score), run.score)
+    for report in reports:
+        best.update(report.optimal_scores)
+    ratios = [run.score / best[run.dataset] if best[run.dataset] else 1.0 for run in runs]
     return sum(ratios) / len(ratios)
 
 
@@ -90,7 +93,7 @@ def check_report(report, errors: list[str]) -> None:
             )
 
 
-def verify_answers(job: dict, report, errors: list[str]) -> None:
+def verify_answers(job: dict, reports, errors: list[str]) -> None:
     """Outside the timed window: re-run the suite on every dataset.
 
     The engine report carries scores only, so each algorithm is run once
@@ -99,7 +102,8 @@ def verify_answers(job: dict, report, errors: list[str]) -> None:
     score the cold pass reported.  The m=50, n=100 datasets have no exact
     optimum, so this is the only check of their answers.
     """
-    reported = {(run.algorithm, run.dataset): run.score for run in report.runs}
+    reported = {(run.algorithm, run.dataset): run.score
+                for report in reports for run in report.runs}
     for dataset in build_datasets(job):
         domain = set(dataset.rankings[0].domain)
         for name in job["suite"]:
@@ -115,50 +119,62 @@ def verify_answers(job: dict, report, errors: list[str]) -> None:
                 )
 
 
+def split(job: dict, datasets: list[Dataset]) -> dict[str, list[Dataset]]:
+    """The job's two parts: the paper datasets and the gap (exact) datasets."""
+    return {part: [d for d, entry in zip(datasets, job["datasets"])
+                   if entry["exact"] == (part == "gap")] for part in PARTS}
+
+
 def run_round(job: dict, workdir: Path, index: int, state: dict) -> dict:
     """One round: a cold pass, cached passes, then this round's edits."""
     errors, windows = state["errors"], state["windows"]
-    # 1. cold pass: fresh cache, cleared plan cache.
+    # 1. cold pass: fresh cache, cleared plan cache; each part is one engine run.
     clear_plan_cache()
-    batch = build_job(job, build_datasets(job))
     engine = ExecutionEngine(SerialBackend(), cache=ResultCache(workdir / f"cache-{index}"))
-    start = now()
-    report = engine.run(batch)
-    end = now()
-    windows.append([start, end])
-    cold = {"cold_runs": batch.num_runs, "cold_elapsed": end - start,
-            "spec_seconds": [run.elapsed_seconds for run in report.runs
-                             if run.dataset.startswith(job["timed_prefix"])],
-            "exact_seconds": [run.elapsed_seconds for run in report.runs
-                              if not run.dataset.startswith(job["timed_prefix"])],
-            "score_ratio": score_ratio(report)}
-    state["failed"] += sum(1 for run in report.runs if run.error is not None or run.score is None)
-    state["operations"] += batch.num_runs
-    check_report(report, errors)
-    fingerprint = state.setdefault("fingerprint", report.result_fingerprint())
-    if report.result_fingerprint() != fingerprint:
-        errors.append("two cold passes gave different report fingerprints")
-    state["report"] = report
-
-    # 2. cached passes on the populated cache, fresh dataset objects each.
-    cached_runs, cached_elapsed = 0, 0.0
-    while cached_elapsed < CACHED_SHARE * float(job["seconds"]) / job["rounds"]:
-        batch = build_job(job, build_datasets(job))
+    cold: dict = {"runs": {}, "windows": {}, "run_seconds": {}}
+    fingerprints = {}
+    for part, datasets in split(job, build_datasets(job)).items():
+        batch = build_job(job, datasets)
         start = now()
         report = engine.run(batch)
         end = now()
         windows.append([start, end])
-        cached_elapsed += end - start
-        cached_runs += batch.num_runs
-        if report.executed_runs:
-            errors.append(f"cached pass executed {report.executed_runs} runs")
-        if report.result_fingerprint() != fingerprint:
-            errors.append("cached pass fingerprint differs from the cold pass")
-    state["operations"] += cached_runs
+        cold["runs"][part] = batch.num_runs
+        cold["windows"][part] = [start, end]
+        cold["run_seconds"][part] = [run.elapsed_seconds for run in report.runs]
+        state["failed"] += sum(1 for run in report.runs
+                               if run.error is not None or run.score is None)
+        state["operations"] += batch.num_runs
+        state["attempted"] += batch.num_runs
+        check_report(report, errors)
+        fingerprints[part] = report.result_fingerprint()
+        state["reports"][part] = report
+    cold["score_ratio"] = score_ratio(state["reports"].values())
+    if state.setdefault("fingerprints", fingerprints) != fingerprints:
+        errors.append("two cold passes gave different report fingerprints")
 
-    # 3. edits: invalidate the stale records, then run the job again.
+    # 2. cached passes on the populated cache, fresh dataset objects each.
+    cached_runs, cached_elapsed, cached_windows = 0, 0.0, []
+    while cached_elapsed < CACHED_SHARE * float(job["seconds"]) / job["rounds"]:
+        for part, datasets in split(job, build_datasets(job)).items():
+            batch = build_job(job, datasets)
+            start = now()
+            report = engine.run(batch)
+            end = now()
+            windows.append([start, end])
+            cached_windows.append([start, end])
+            cached_elapsed += end - start
+            cached_runs += batch.num_runs
+            if report.executed_runs:
+                errors.append(f"cached pass executed {report.executed_runs} runs")
+            if report.result_fingerprint() != fingerprints[part]:
+                errors.append(f"cached {part} pass fingerprint differs from the cold pass")
+    state["operations"] += cached_runs
+    state["attempted"] += cached_runs
+
+    # 3. edits: invalidate the stale records, then run the gap part again.
     datasets = build_datasets(job)
-    mutate_seconds, repair_seconds = [], []
+    mutate_windows, repair_windows = [], []
     per_round = len(job["edits"]) // job["rounds"]
     for edit in job["edits"][index * per_round:(index + 1) * per_round]:
         old = datasets[edit["dataset"]]
@@ -166,12 +182,12 @@ def run_round(job: dict, workdir: Path, index: int, state: dict) -> dict:
         rankings[edit["index"]] = Ranking(edit["ranking"])
         start = now()
         engine.cache.invalidate(dataset_fingerprint=dataset_fingerprint(old))
-        mutate_seconds.append(now() - start)
+        mutate_windows.append([start, now()])
         datasets[edit["dataset"]] = Dataset(rankings, name=old.name)
-        batch = build_job(job, datasets)
+        batch = build_job(job, split(job, datasets)["gap"])
         start = now()
         report = engine.run(batch)
-        repair_seconds.append(now() - start)
+        repair_windows.append([start, now()])
         if report.executed_runs != len(job["suite"]) + 1:
             errors.append(
                 f"edit re-ran {report.executed_runs} runs, expected "
@@ -180,19 +196,19 @@ def run_round(job: dict, workdir: Path, index: int, state: dict) -> dict:
         state["failed"] += sum(1 for run in report.runs if run.error is not None)
         state["attempted"] += 2
         check_report(report, errors)
-    state["attempted"] += cold["cold_runs"] + cached_runs
-    return {**cold, "cached_runs": cached_runs, "cached_elapsed": cached_elapsed,
-            "mutate_seconds": mutate_seconds, "repair_seconds": repair_seconds}
+    return {**cold, "cached_runs": cached_runs, "cached_windows": cached_windows,
+            "mutate_windows": mutate_windows, "repair_windows": repair_windows}
 
 
 def run(workdir: Path) -> dict:
     job = json.loads((workdir / "job.json").read_text())
-    state = {"errors": [], "windows": [], "failed": 0, "attempted": 0, "operations": 0}
+    state = {"errors": [], "windows": [], "failed": 0, "attempted": 0, "operations": 0,
+             "reports": {}}
     rounds = [run_round(job, workdir, index, state) for index in range(job["rounds"])]
-    verify_answers(job, state["report"], state["errors"])
+    verify_answers(job, state["reports"].values(), state["errors"])
     return {
         "rounds": rounds,
-        "fingerprint": state["fingerprint"],
+        "fingerprint": ":".join(state["fingerprints"][part] for part in PARTS),
         "windows": state["windows"],
         "operations": state["operations"],
         "attempted": state["attempted"],

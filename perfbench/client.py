@@ -99,6 +99,7 @@ class Sample:
     payload: dict[str, Any]
     latency: float  # seconds (open loop: from the due time)
     late: float = 0.0  # open loop: send time minus due time
+    start: float = 0.0  # CLOCK_MONOTONIC the latency counts from
     body_bytes: int = 0
     path: str = ""
 
@@ -122,7 +123,7 @@ async def timed_request(
         await conn.close()
         code, payload, latency = 0, {"error": repr(error)}, REQUEST_TIMEOUT
     return Sample(key, request_id, code, payload, latency,
-                  late=sent - origin, body_bytes=len(body), path=path)
+                  late=sent - origin, start=origin, body_bytes=len(body), path=path)
 
 
 @dataclass

@@ -60,7 +60,7 @@ PINNED_SIZE_MIX = (
 SERVE_BUDGET_SECONDS = 0.05
 WARM_POPULATION = 32
 WARM_ZIPF_EXPONENT = HttpLoadProfile().skew  # the repo's load-generator default
-WARM_OPEN_LOOP_RPS = 24.0
+WARM_OPEN_LOOP_RPS = 16.0
 WARM_CLOSED_SHARE = 0.3  # of --seconds; the open loop gets the rest
 MEMORY_ENTRIES = 4  # per shard; 2 shards hold 8 of the 32 warm members
 PINNED_POPULATION = 300
@@ -73,13 +73,17 @@ LIVE_READ_SHARE = 0.6  # assumed: no source fixes the read/write mix
 _UPDATE_SHARE = ChurnProfile().mutation_mix[2] / sum(ChurnProfile().mutation_mix)
 MUTATION_MIX = ((1 - _UPDATE_SHARE) / 2, (1 - _UPDATE_SHARE) / 2, _UPDATE_SHARE)
 COLD_SUPPLY_RPS = 25  # cold members drawn up front per second; more on demand
-PROBE_MUTATIONS = 24  # per round, write probe on serve-warm and serve-cold
-PROBE_INITIAL_SEED = 2015  # the probe session starts from fixed content
-BATCH_TIMED_PREFIX = "paper-"  # p50/tail time the runs on these datasets
+PROBE_MUTATIONS = 16  # per round, write probe on serve-warm and serve-cold
+PROBE_REPAIR_EVERY = 4  # the probe repairs more often, for enough repair samples
+PROBE_SEED = 2015  # the probe is the same on every seed
 ROUNDS = 4  # timed rounds per run; each metric is reduced over the rounds
 BATCH_LARGE = (("uniform", 50, 100), ("markov", 50, 100))
 BATCH_EXACT_SIZES = (7, 9, 11, 13)  # uniform, m=50, solved by ExactSubsetDP
-BATCH_EDITS = 32  # split evenly over the rounds
+BATCH_EDITS = 24  # split evenly over the rounds
+#: Edits all change the exact-reference dataset of this size, so every edit
+#: re-runs the same amount of work and their median is not a midpoint
+#: between datasets of different cost.
+BATCH_EDITED_N = 11
 BATCH_EXACT = "ExactSubsetDP"
 BATCH_SUITE = tuple(SCALABLE_ALGORITHMS)
 REFERENCE_SEED = 0
@@ -225,12 +229,13 @@ def open_loop_schedule(
     rng: np.random.Generator, members: list[int], rate: float, seconds: float
 ) -> list[tuple[float, int]]:
     """``rate * seconds`` arrivals at a fixed rate, each due at a seeded
-    uniform point of its own ``1 / rate`` slot, drawing members from
-    ``members``.  Jittered slots keep the rate exact without the bursts of
-    a Poisson process, whose queueing would make the tail depend on the
-    seed more than on the server."""
+    uniform point of the middle half of its own ``1 / rate`` slot, drawing
+    members from ``members``.  Jittered slots keep the rate exact without
+    the bursts of a Poisson process, and keeping arrivals half a slot apart
+    stops two of them from landing together by chance: that queueing would
+    make the tail depend on the seed more than on the server."""
     count = int(rate * seconds)
-    offsets = (np.arange(count) + rng.uniform(0.0, 1.0, count)) / rate
+    offsets = (np.arange(count) + rng.uniform(0.25, 0.75, count)) / rate
     return [(float(offset), members.pop(0)) for offset in offsets]
 
 
@@ -379,17 +384,19 @@ class ProbeInputs:
     ops: list[dict]
 
 
-def probe_inputs(seed: int, rounds: int = ROUNDS) -> ProbeInputs:
-    """Per round: PROBE_MUTATIONS mutations with a repair after every K of
-    them (the ops list holds all rounds back to back).  The session starts
-    from fixed content, so the cost of its Chanas repairs follows the
-    seeded mutations rather than a seed-drawn starting dataset."""
-    rng = rng_for(seed, "write-probe")
-    per_round = PROBE_MUTATIONS + PROBE_MUTATIONS // LIVE_REPAIR_EVERY
+def probe_inputs(rounds: int = ROUNDS) -> ProbeInputs:
+    """Per round: PROBE_MUTATIONS mutations with a repair after every
+    PROBE_REPAIR_EVERY of them (the ops list holds all rounds back to back).
+    The probe is an instrument beside the workload rather than its input:
+    its content and mutations are fixed, so what its Chanas repairs cost
+    does not change with the seed."""
+    rng = rng_for(PROBE_SEED, "write-probe")
+    per_round = PROBE_MUTATIONS + PROBE_MUTATIONS // PROBE_REPAIR_EVERY
     ops = mutation_ops(
-        rng, _ranking_pool(seed, "write-probe"), LIVE_M, per_round * rounds
+        rng, _ranking_pool(PROBE_SEED, "write-probe"), LIVE_M, per_round * rounds,
+        repair_every=PROBE_REPAIR_EVERY,
     )
-    return ProbeInputs(live_initial(PROBE_INITIAL_SEED, "write-probe"), ops)
+    return ProbeInputs(live_initial(PROBE_SEED, "write-probe"), ops)
 
 
 def batch_inputs(seed: int) -> dict:
@@ -397,29 +404,24 @@ def batch_inputs(seed: int) -> dict:
     datasets = []
     for index, (family, m, n) in enumerate(BATCH_LARGE):
         base = make_base(family, m, n, rng_for(seed, "batch", str(index)))
-        datasets.append({"name": f"{BATCH_TIMED_PREFIX}{family}-m{m}-n{n}",
+        datasets.append({"name": f"paper-{family}-m{m}-n{n}",
                          "exact": False, "rankings": base.buckets})
     for n in BATCH_EXACT_SIZES:
         base = make_base("uniform", 50, n, rng_for(seed, "batch-exact", str(n)))
         datasets.append({"name": f"exact-uniform-m50-n{n}", "exact": True,
                          "rankings": base.buckets})
     rng = rng_for(seed, "batch-edits")
-    exact = [i for i, d in enumerate(datasets) if d["exact"]]
-    edits = []
-    for k in range(BATCH_EDITS):
-        target = exact[k % len(exact)]
-        n = len({e for bucket in datasets[target]["rankings"][0] for e in bucket})
-        edits.append({
-            "dataset": target,
-            "index": int(rng.integers(len(datasets[target]["rankings"]))),
-            "ranking": _uniform_buckets(n, rng),
-        })
+    target = [d["name"] for d in datasets].index(f"exact-uniform-m50-n{BATCH_EDITED_N}")
+    edits = [{
+        "dataset": target,
+        "index": int(rng.integers(len(datasets[target]["rankings"]))),
+        "ranking": _uniform_buckets(BATCH_EDITED_N, rng),
+    } for _ in range(BATCH_EDITS)]
     return {
         "datasets": datasets,
         "suite": list(BATCH_SUITE),
         "exact": BATCH_EXACT,
         "edits": edits,
-        "timed_prefix": BATCH_TIMED_PREFIX,
     }
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from perfbench.client import now
 from perfbench.inputs import MEMORY_ENTRIES, SERVE_BUDGET_SECONDS
+from perfbench.speed import on_core
 
 SERVER_SEED = 2015
 READY_TIMEOUT = 120.0
@@ -46,7 +47,8 @@ def peak_rss_mb(pid: int) -> float:
 class Program:
     """One running program process with its log and optional trace file."""
 
-    def __init__(self, root: Path, workdir: Path, argv: list[str], *, trace_out: Path | None):
+    def __init__(self, root: Path, workdir: Path, argv: list[str], *, trace_out: Path | None,
+                 core: int):
         self.workdir = workdir
         self.trace_out = trace_out
         workdir.mkdir(parents=True, exist_ok=True)
@@ -57,10 +59,11 @@ class Program:
                        "--trace-out", str(trace_out), "--"] + argv
         self.log = open(workdir / "program.log", "wb")
         self.launched = now()
-        self.process = subprocess.Popen(
-            command, cwd=root, env=program_env(root), stdout=self.log,
-            stderr=subprocess.STDOUT, stdin=subprocess.PIPE,
-        )
+        with on_core(core):
+            self.process = subprocess.Popen(
+                command, cwd=root, env=program_env(root), stdout=self.log,
+                stderr=subprocess.STDOUT, stdin=subprocess.PIPE,
+            )
 
     @property
     def pid(self) -> int:
@@ -93,8 +96,8 @@ class Program:
 class Server(Program):
     """``serve-http`` on an ephemeral TCP port, thread mode, 2 shards."""
 
-    def __init__(self, root: Path, workdir: Path, *, trace_out: Path | None = None,
-                 journal: bool = False):
+    def __init__(self, root: Path, workdir: Path, *, core: int,
+                 trace_out: Path | None = None, journal: bool = False):
         self.port_file = workdir / "port"
         argv = [
             "-m", "repro.cli", "serve-http", "--port", "0",
@@ -104,7 +107,7 @@ class Server(Program):
         ]
         if journal:
             argv += ["--journal-dir", str(workdir / "journal"), "--journal-fsync", "batch"]
-        super().__init__(root, workdir, argv, trace_out=trace_out)
+        super().__init__(root, workdir, argv, trace_out=trace_out, core=core)
         self.port = self._wait_ready()
 
     def _wait_ready(self) -> int:
@@ -124,9 +127,10 @@ class Server(Program):
 class BatchChild(Program):
     """The benchmark-owned batch process (``perfbench/batch_child.py``)."""
 
-    def __init__(self, root: Path, workdir: Path, *, trace_out: Path | None = None):
+    def __init__(self, root: Path, workdir: Path, *, core: int,
+                 trace_out: Path | None = None):
         argv = [str(root / "perfbench" / "batch_child.py"), str(workdir)]
-        super().__init__(root, workdir, argv, trace_out=trace_out)
+        super().__init__(root, workdir, argv, trace_out=trace_out, core=core)
         self._wait_file(workdir / "ready")
 
     def _wait_file(self, path: Path) -> None:

@@ -40,7 +40,7 @@ def report(outcome, label: str) -> None:
     """Human-readable summary of one measured run (stdout, before the JSON)."""
     print(f"[{label}] attempted={outcome.attempted} failed={outcome.failed} {outcome.notes}")
     for name, value in sorted(outcome.metrics.items()):
-        print(f"[{label}]   {name} = {value:.6g}")
+        print(f"[{label}]   {name} = {value:.6g}  (wall time: {outcome.wall[name]:.6g})")
 
 
 def main(argv=None) -> int:

@@ -25,6 +25,7 @@ from perfbench.checks import (  # noqa: E402
 )
 from perfbench.client import Sample  # noqa: E402
 from perfbench.layers import layer_metrics  # noqa: E402
+from perfbench.speed import CoreSpeed, WallClock  # noqa: E402
 from perfbench.workloads import Outcome, check_hits  # noqa: E402
 from repro.algorithms.registry import make_algorithm  # noqa: E402
 from repro.datasets.io import loads  # noqa: E402
@@ -42,9 +43,7 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
     lambda seed: inp._digest([inp.cold_inputs(seed, 1).member(k).text for k in range(40, 44)]),
     lambda seed: inp.live_inputs(seed, 2).digest(),
     lambda seed: inp.batch_digest(inp.batch_inputs(seed)),
-    lambda seed: inp._digest(inp.probe_inputs(seed).initial, inp.probe_inputs(seed).ops),
-], ids=["serve-warm", "serve-cold", "serve-cold-on-demand", "live-churn", "batch-paper",
-        "write-probe"])
+], ids=["serve-warm", "serve-cold", "serve-cold-on-demand", "live-churn", "batch-paper"])
 def test_same_seed_gives_identical_inputs_and_schedules(make):
     assert make(7) == make(7)
     assert make(7) != make(8)
@@ -65,6 +64,27 @@ def test_zipf_stream_holds_exact_shares_in_every_block():
     first, second = stream[:200], stream[200:]
     assert sorted(first) == sorted(second) and first != second
     assert first.count(0) > first.count(1) > first.count(5)
+
+
+def test_every_batch_edit_changes_the_same_dataset():
+    job = inp.batch_inputs(4)
+    assert {edit["dataset"] for edit in job["edits"]} == {
+        [d["name"] for d in job["datasets"]].index(f"exact-uniform-m50-n{inp.BATCH_EDITED_N}")
+    }
+
+
+# --------------------------------------------------------------------------- #
+# Core speed
+# --------------------------------------------------------------------------- #
+def test_reference_seconds_follow_the_core_speed_of_the_interval():
+    times = [0.05 * k for k in range(200)]  # 10 s of readings
+    speed = CoreSpeed(times, [1.0 if t < 5.0 else 0.5 for t in times])
+    assert speed.reference_seconds(1.0, 3.0) == pytest.approx(2.0)
+    assert speed.reference_seconds(6.0, 9.0) == pytest.approx(1.5)
+    assert speed.speed(4.0, 6.0) == pytest.approx(0.75, abs=0.03)
+    # an interval shorter than the readings' spacing uses the nearest ones
+    assert speed.speed(20.0, 20.001) == pytest.approx(0.5)
+    assert WallClock().reference_seconds(6.0, 9.0) == 3.0
 
 
 # --------------------------------------------------------------------------- #
@@ -125,7 +145,7 @@ def test_a_session_that_differs_from_the_replay_is_rejected():
     from repro.core.ranking import Ranking
     from repro.core.kemeny import generalized_kemeny_score_from_weights
 
-    probe = inp.probe_inputs(5)
+    probe = inp.probe_inputs()
     ops = [op for op in probe.ops[:6] if op["op"] != "repair"]
     live = replay(probe.initial, ops)
     consensus = [list(range(live.num_elements))]

@@ -2,8 +2,8 @@
 
 Every workload reports all eleven end-to-end metrics; ``spec.json`` and
 ``README.md`` say what each one measures on each workload.  A serving
-workload sets the server up 3 times (5 when nothing is primed; the median is
-``setup_s``; the last server stays up), then runs ``ROUNDS`` timed rounds.
+workload sets the server up 3 times (the median is ``setup_s``; the last
+server stays up), then runs ``ROUNDS`` timed rounds.
 A round holds a slice of every phase of the workload: its loops, a cached
 re-send of some inputs and — where the workload has no writes of its own —
 a slice of the write probe.  Interleaving the phases this way spreads each
@@ -11,13 +11,23 @@ metric's samples over the whole run, so a stretch of the run slowed by
 other load on the machine weighs on every metric alike instead of on
 whichever phase it happened to hit.  Each metric pools its samples over
 all rounds.
+
+The program runs on one core, beside the core-speed meter
+(``perfbench/speed.py``); the benchmark process keeps to the other cores.
+Every timing metric is in reference seconds: each interval is converted
+with the core speed the meter read over it, so a stretch of slow core on a
+shared host does not move the figures, while less work in the program does.
+Timings that a wall-clock budget sets stay in wall time: serve-cold's cold
+requests and serve-warm's priming race a portfolio for ``budget_seconds``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -34,12 +44,14 @@ from perfbench.client import (
     timed_request,
 )
 from perfbench.program import BatchChild, Server
+from perfbench.speed import SpeedMeter, WallClock, cores
 from perfbench.stats import mean, median, tail
 
 SETUP_REPEATS = 3
-QUICK_SETUP_REPEATS = 5  # set-ups that prime nothing are cheap to repeat
 ROUNDS = inp.ROUNDS
-COLD_RERUN = 15  # per round: re-sent cold datasets
+#: Per round: re-sent cold datasets; consecutive members cycle through the
+#: size mix, so a multiple of its length re-sends the same sizes every run.
+COLD_RERUN = 3 * len(inp.SERVE_SIZE_MIX)
 PINNED_RERUN = 60  # per round: re-sent pinned datasets
 SESSION = "bench"
 PROBE_SESSION = "probe"
@@ -53,6 +65,8 @@ class Context:
     seed: int
     seconds: float
     traced: bool
+    core: int = 0  # the program's core
+    meter: SpeedMeter | None = None
 
     def trace_out(self, workdir: Path) -> Path | None:
         return workdir / "trace.jsonl" if self.traced else None
@@ -64,10 +78,11 @@ class Context:
 
 @dataclass
 class Outcome:
-    metrics: dict[str, float]
+    metrics: dict[str, float]  # reference seconds, the figures reported
     attempted: int
     failed: int
     notes: dict[str, Any] = field(default_factory=dict)
+    wall: dict[str, float] = field(default_factory=dict)  # the same in wall time
     # For the per-layer report of a traced run:
     samples: list[Sample] = field(default_factory=list)
     windows: list[tuple[float, float]] = field(default_factory=list)
@@ -86,16 +101,27 @@ def ms(seconds: float) -> float:
     return 1000.0 * seconds
 
 
-def latency_metrics(samples: list[Sample], prefix: str = "") -> dict[str, float]:
+def latency(clock, sample: Sample) -> float:
+    """A sample's latency on ``clock`` (a failed one stays at the timeout)."""
+    if not sample.ok:
+        return sample.latency
+    return clock.reference_seconds(sample.start, sample.start + sample.latency)
+
+
+def latency_metrics(clock, samples: list[Sample], prefix: str = "") -> dict[str, float]:
     """``p50_ms`` and ``tail_ms``: the highest percentile with 10 samples beyond."""
-    value, _, _ = tail([s.latency for s in samples])
-    return {f"{prefix}p50_ms": ms(median(s.latency for s in samples)),
-            f"{prefix}tail_ms": ms(value)}
+    latencies = [latency(clock, s) for s in samples]
+    value, _, _ = tail(latencies)
+    return {f"{prefix}p50_ms": ms(median(latencies)), f"{prefix}tail_ms": ms(value)}
 
 
 def tail_notes(samples: list[Sample]) -> dict[str, Any]:
     _, percentile, count = tail([s.latency for s in samples])
     return {"tail_percentile": round(percentile, 1), "tail_samples": count}
+
+
+def speed_notes(meter: SpeedMeter, started: float) -> dict[str, Any]:
+    return {"core_speed": round(meter.speed(started, now()), 3)}
 
 
 async def sequential(conn: Connection, requests) -> LoopResult:
@@ -107,10 +133,10 @@ async def sequential(conn: Connection, requests) -> LoopResult:
     return result
 
 
-def rate(results: list[LoopResult]) -> float:
-    """Successful answers per second over the loops' pooled time."""
+def rate(clock, results: list[LoopResult]) -> float:
+    """Successful answers per second on ``clock`` over the loops' pooled time."""
     ok = sum(1 for result in results for s in result.samples if s.ok)
-    elapsed = sum(result.elapsed for result in results)
+    elapsed = sum(clock.reference_seconds(r.started, r.ended) for r in results)
     return ok / elapsed if elapsed > 0 else 0.0
 
 
@@ -190,20 +216,20 @@ async def finish_session(conn, session: str, initial: list, samples: list[Sample
     check_session(served, initial, applied, f"live session {session}")
 
 
-def write_metrics(samples: list[Sample]) -> dict[str, float]:
+def write_metrics(clock, samples: list[Sample]) -> dict[str, float]:
     mutations = [s for s in samples if s.key[1]["op"] in MUTATIONS]
     repairs = [s for s in samples if s.key[1]["op"] == "repair"]
     return {
-        **latency_metrics(mutations, "mutate_"),
-        "repair_p50_ms": ms(median(s.latency for s in repairs)),
+        **latency_metrics(clock, mutations, "mutate_"),
+        "repair_p50_ms": ms(median(latency(clock, s) for s in repairs)),
     }
 
 
 class WriteProbe:
     """A live session beside the workload's cache, driven a slice per round."""
 
-    def __init__(self, seed: int):
-        self.inputs = inp.probe_inputs(seed)
+    def __init__(self):
+        self.inputs = inp.probe_inputs()
         self.per_round = len(self.inputs.ops) // ROUNDS
         self.samples: list[Sample] = []
 
@@ -225,26 +251,26 @@ class WriteProbe:
 # --------------------------------------------------------------------------- #
 # Set-up: launch (and prime) the program several times, keep the last
 # --------------------------------------------------------------------------- #
-async def set_up(ctx: Context, prime, *, journal: bool = False,
-                 repeats: int = SETUP_REPEATS):
-    """Returns (server, setup times, prime outcomes of every repetition)."""
-    times, primes = [], []
+async def set_up(ctx: Context, prime, *, journal: bool = False):
+    """Returns (server, set-up windows, prime outcomes of every repetition)."""
+    windows, primes = [], []
     server = None
-    for rep in range(repeats):
+    for rep in range(SETUP_REPEATS):
         if server is not None:
             server.stop()
         start = now()
         workdir = ctx.work / f"server-{rep}"
-        server = Server(ctx.root, workdir, trace_out=ctx.trace_out(workdir), journal=journal)
+        server = Server(ctx.root, workdir, core=ctx.core,
+                        trace_out=ctx.trace_out(workdir), journal=journal)
         try:
             conn = await Connection("127.0.0.1", server.port).open()
             primes.append(await prime(conn))
-            times.append(now() - start)
+            windows.append((start, now()))
             await conn.close()
         except BaseException:
             server.stop()
             raise
-    return server, times, primes
+    return server, windows, primes
 
 
 async def prime_members(conn, bodies) -> LoopResult:
@@ -272,11 +298,12 @@ def check_primed(primes: list[LoopResult], members, bases) -> dict[int, str]:
 # serve-warm
 # --------------------------------------------------------------------------- #
 async def serve_warm(ctx: Context) -> Outcome:
+    meter = ctx.meter
     data = inp.warm_inputs(ctx.seed, ctx.seconds)
     for base in data.bases:
         base.compute_reference()
     bodies = [body_maker(m, budget_seconds=inp.SERVE_BUDGET_SECONDS) for m in data.members]
-    probe = WriteProbe(ctx.seed)
+    probe = WriteProbe()
 
     async def prime(conn):
         return await prime_members(conn, bodies)
@@ -311,27 +338,34 @@ async def serve_warm(ctx: Context) -> Outcome:
             await conn.close()
     finally:
         server.stop()
+        meter.stop()
 
     samples = samples_of(closed + opened)
     open_samples = samples_of(opened)
     for part, label in ((samples, "loops"), (samples_of(reruns), "cached pass")):
         check_hits(part, data.members, data.bases, primed, label)
-    metrics = {
-        "setup_s": median(setups),
-        "rss_mb": rss,
-        **latency_metrics(open_samples),
-        "max_rps": rate(closed),
-        "score_ratio": mean(
-            s.payload["score"] / data.bases[data.members[s.key].base].reference
-            for s in samples if s.ok
-        ),
-        "runs_per_s": median(rate([p]) for p in primes),
-        "rerun_runs_per_s": rate(reruns),
-        **write_metrics(probe.samples),
-    }
+
+    wall = WallClock()  # priming runs the portfolio to its wall-clock budget
+
+    def figures(clock) -> dict[str, float]:
+        return {
+            "setup_s": median(wall.reference_seconds(*w) for w in setups),
+            "rss_mb": rss,
+            **latency_metrics(clock, open_samples),
+            "max_rps": rate(clock, closed),
+            "score_ratio": mean(
+                s.payload["score"] / data.bases[data.members[s.key].base].reference
+                for s in samples if s.ok
+            ),
+            "runs_per_s": median(rate(wall, [p]) for p in primes),
+            "rerun_runs_per_s": rate(clock, reruns),
+            **write_metrics(clock, probe.samples),
+        }
+
     others = samples_of(reruns) + probe.samples
     return Outcome(
-        metrics,
+        figures(meter),
+        wall=figures(WallClock()),
         attempted=len(samples) + len(others),
         failed=failures(samples) + failures(others),
         notes={
@@ -339,6 +373,7 @@ async def serve_warm(ctx: Context) -> Outcome:
             "late_ms_max": round(ms(max(s.late for s in open_samples)), 2),
             "sources": _sources(samples),
             **tail_notes(open_samples),
+            **speed_notes(meter, setups[0][0]),
         },
         samples=samples,
         windows=[(r.started, r.ended) for r in closed + opened],
@@ -351,16 +386,17 @@ async def serve_warm(ctx: Context) -> Outcome:
 # serve-cold
 # --------------------------------------------------------------------------- #
 async def serve_cold(ctx: Context) -> Outcome:
+    meter = ctx.meter
     data = inp.cold_inputs(ctx.seed, ctx.seconds)
     for base in data.bases:
         base.compute_reference()
     bodies = [body_maker(m, budget_seconds=inp.SERVE_BUDGET_SECONDS) for m in data.members]
-    probe = WriteProbe(ctx.seed)
+    probe = WriteProbe()
 
     async def launch_only(conn):
         return None
 
-    server, setups, _ = await set_up(ctx, launch_only, repeats=QUICK_SETUP_REPEATS)
+    server, setups, _ = await set_up(ctx, launch_only)
     colds, reruns, ratios = [], [], []
     sent = itertools.count()
     try:
@@ -400,27 +436,34 @@ async def serve_cold(ctx: Context) -> Outcome:
         await conn.close()
     finally:
         server.stop()
+        meter.stop()
 
     samples = samples_of(colds)
     computed = [s for s in samples if s.ok]
-    metrics = {
-        "setup_s": median(setups),
-        "rss_mb": rss,
-        **latency_metrics(samples),
-        "max_rps": rate(colds),
-        "score_ratio": mean(ratios),
-        # Per second of the server's execution time (cache lookup, compute,
-        # store), so the wire path that max_rps includes is left out.
-        "runs_per_s": len(computed) / sum(s.payload["execution_seconds"] for s in computed),
-        "rerun_runs_per_s": rate(reruns),
-        **write_metrics(probe.samples),
-    }
+    wall = WallClock()  # cold requests run to their wall-clock budget
+
+    def figures(clock) -> dict[str, float]:
+        return {
+            "setup_s": median(clock.reference_seconds(*w) for w in setups),
+            "rss_mb": rss,
+            **latency_metrics(wall, samples),
+            "max_rps": rate(wall, colds),
+            "score_ratio": mean(ratios),
+            # Per second of the server's execution time (cache lookup, compute,
+            # store), so the wire path that max_rps includes is left out.
+            "runs_per_s": len(computed) / sum(s.payload["execution_seconds"] for s in computed),
+            "rerun_runs_per_s": rate(clock, reruns),
+            **write_metrics(clock, probe.samples),
+        }
+
     others = samples_of(reruns) + probe.samples
     return Outcome(
-        metrics,
+        figures(meter),
+        wall=figures(WallClock()),
         attempted=len(samples) + len(others),
         failed=failures(samples) + failures(others),
-        notes={"sources": _sources(samples), **tail_notes(samples)},
+        notes={"sources": _sources(samples), **tail_notes(samples),
+               **speed_notes(meter, setups[0][0])},
         samples=samples,
         windows=[(r.started, r.ended) for r in colds],
         operations=len(samples),
@@ -436,6 +479,7 @@ def dir_bytes(path: Path) -> int:
 
 
 async def live_churn(ctx: Context) -> Outcome:
+    meter = ctx.meter
     data = inp.live_inputs(ctx.seed, ctx.seconds)
     for base in data.pinned_bases:
         base.compute_reference()
@@ -474,6 +518,7 @@ async def live_churn(ctx: Context) -> Outcome:
         await conn.close()
     finally:
         server.stop()
+        meter.stop()
 
     read_samples = [s for s in samples if s.key[1]["op"] == "read"]
     for s in read_samples:
@@ -481,27 +526,32 @@ async def live_churn(ctx: Context) -> Outcome:
             raise CheckFailure(f"read of {data.pinned[s.key[1]['member']].name} "
                                "differs from its primed answer")
     check_hits(samples_of(reruns), data.pinned, data.pinned_bases, primed, "cached pass")
-    metrics = {
-        "setup_s": median(setups),
-        "rss_mb": rss,
-        **latency_metrics(read_samples),
-        "max_rps": rate(loops),
-        "score_ratio": mean(
-            s.payload["score"]
-            / data.pinned_bases[data.pinned[s.key[1]["member"]].base].reference
-            for s in read_samples if s.ok
-        ),
-        "runs_per_s": median(rate([p]) for p in primes),
-        "rerun_runs_per_s": rate(reruns),
-        **write_metrics(samples),
-    }
+
+    def figures(clock) -> dict[str, float]:
+        return {
+            "setup_s": median(clock.reference_seconds(*w) for w in setups),
+            "rss_mb": rss,
+            **latency_metrics(clock, read_samples),
+            "max_rps": rate(clock, loops),
+            "score_ratio": mean(
+                s.payload["score"]
+                / data.pinned_bases[data.pinned[s.key[1]["member"]].base].reference
+                for s in read_samples if s.ok
+            ),
+            "runs_per_s": median(rate(clock, [p]) for p in primes),
+            "rerun_runs_per_s": rate(clock, reruns),
+            **write_metrics(clock, samples),
+        }
+
     appends = sum(1 for s in samples if s.ok and s.key[1]["op"] != "read")
     others = samples_of(reruns)
     return Outcome(
-        metrics,
+        figures(meter),
+        wall=figures(WallClock()),
         attempted=len(samples) + len(others),
         failed=failures(samples) + failures(others),
-        notes={"ops": len(samples), "reads": len(read_samples), **tail_notes(read_samples)},
+        notes={"ops": len(samples), "reads": len(read_samples), **tail_notes(read_samples),
+               **speed_notes(meter, setups[0][0])},
         samples=samples,
         windows=[(r.started, r.ended) for r in loops],
         operations=len(samples),
@@ -514,58 +564,69 @@ async def live_churn(ctx: Context) -> Outcome:
 # batch-paper
 # --------------------------------------------------------------------------- #
 async def batch_paper(ctx: Context) -> Outcome:
+    meter = ctx.meter
     job = inp.batch_inputs(ctx.seed)
     job["seconds"] = ctx.seconds
     job["rounds"] = ROUNDS
     setups = []
     child = None
-    for rep in range(QUICK_SETUP_REPEATS):
-        if child is not None:
-            child.stop()
-        start = now()
-        workdir = ctx.work / f"child-{rep}"
-        child = BatchChild(ctx.root, workdir, trace_out=ctx.trace_out(workdir))
-        setups.append(now() - start)
     try:
+        for rep in range(SETUP_REPEATS):
+            if child is not None:
+                child.stop()
+            start = now()
+            workdir = ctx.work / f"child-{rep}"
+            child = BatchChild(ctx.root, workdir, core=ctx.core,
+                               trace_out=ctx.trace_out(workdir))
+            setups.append((start, now()))
         (child.workdir / "job.json").write_text(json.dumps(job))
         child.run(timeout=170.0)
         rss = child.rss_mb()
     finally:
-        child.stop()
+        if child is not None:
+            child.stop()
+        meter.stop()
     result = json.loads((child.workdir / "result.json").read_text())
     if result["errors"]:
         raise CheckFailure("; ".join(result["errors"][:5]))
     rounds = result["rounds"]
+    _, percentile, count = tail(t for r in rounds for ts in r["run_seconds"].values() for t in ts)
 
-    def pooled(key):
-        return [value for r in rounds for value in r[key]]
+    def figures(clock) -> dict[str, float]:
+        ref = clock.reference_seconds
 
-    def per_second(runs, elapsed):
-        return sum(r[runs] for r in rounds) / sum(r[elapsed] for r in rounds)
+        def part_rate(part):
+            """Runs per second of one part's cold passes."""
+            return (sum(r["runs"][part] for r in rounds)
+                    / sum(ref(*r["windows"][part]) for r in rounds))
 
-    spec_seconds, mutate_seconds = pooled("spec_seconds"), pooled("mutate_seconds")
-    exact_seconds = pooled("exact_seconds")
-    value, percentile, count = tail(spec_seconds)
-    mutate_value, _, _ = tail(mutate_seconds)
-    metrics = {
-        "setup_s": median(setups),
-        "rss_mb": rss,
-        "p50_ms": ms(median(spec_seconds)),
-        "tail_ms": ms(value),
-        "max_rps": len(exact_seconds) / sum(exact_seconds),
-        "score_ratio": mean(r["score_ratio"] for r in rounds),
-        "runs_per_s": per_second("cold_runs", "cold_elapsed"),
-        "rerun_runs_per_s": per_second("cached_runs", "cached_elapsed"),
-        "mutate_p50_ms": ms(median(mutate_seconds)),
-        "mutate_tail_ms": ms(mutate_value),
-        "repair_p50_ms": ms(median(pooled("repair_seconds"))),
-    }
+        # Per-run times (engine report) at the core speed of their pass.
+        run_seconds = [t * clock.speed(*r["windows"][part])
+                       for r in rounds for part in r["runs"] for t in r["run_seconds"][part]]
+        mutate_seconds = [ref(*w) for r in rounds for w in r["mutate_windows"]]
+        return {
+            "setup_s": median(ref(*w) for w in setups),
+            "rss_mb": rss,
+            "p50_ms": ms(median(run_seconds)),
+            "tail_ms": ms(tail(run_seconds)[0]),
+            "max_rps": part_rate("gap"),
+            "score_ratio": mean(r["score_ratio"] for r in rounds),
+            "runs_per_s": part_rate("paper"),
+            "rerun_runs_per_s": sum(r["cached_runs"] for r in rounds)
+            / sum(ref(*w) for r in rounds for w in r["cached_windows"]),
+            "mutate_p50_ms": ms(median(mutate_seconds)),
+            "mutate_tail_ms": ms(tail(mutate_seconds)[0]),
+            "repair_p50_ms": ms(median(ref(*w) for r in rounds for w in r["repair_windows"])),
+        }
+
     return Outcome(
-        metrics,
+        figures(meter),
+        wall=figures(WallClock()),
         attempted=result["attempted"],
         failed=result["failed"],
         notes={"fingerprint": result["fingerprint"][:16],
-               "tail_percentile": round(percentile, 1), "tail_samples": count},
+               "tail_percentile": round(percentile, 1), "tail_samples": count,
+               **speed_notes(meter, setups[0][0])},
         windows=[tuple(w) for w in result["windows"]],
         operations=result["operations"],
         trace=child.trace_out,
@@ -581,5 +642,15 @@ WORKLOADS = {
 
 
 def run_workload(name: str, ctx: Context) -> Outcome:
+    """Run one workload with the program's core metered; the benchmark
+    process itself keeps off that core."""
     ctx.work.mkdir(parents=True, exist_ok=True)
-    return asyncio.run(WORKLOADS[name](ctx))
+    ctx.core, own = cores()
+    os.sched_setaffinity(0, own)
+    ctx.meter = SpeedMeter(ctx.root, ctx.work, ctx.core)
+    gc.disable()  # a collection would stall the load generator mid-loop
+    try:
+        return asyncio.run(WORKLOADS[name](ctx))
+    finally:
+        gc.enable()
+        ctx.meter.stop()
