@@ -365,7 +365,7 @@ async def serve_warm(ctx: Context) -> Outcome:
     others = samples_of(reruns) + probe.samples
     return Outcome(
         figures(meter),
-        wall=figures(WallClock()),
+        wall=figures(wall),
         attempted=len(samples) + len(others),
         failed=failures(samples) + failures(others),
         notes={
@@ -459,7 +459,7 @@ async def serve_cold(ctx: Context) -> Outcome:
     others = samples_of(reruns) + probe.samples
     return Outcome(
         figures(meter),
-        wall=figures(WallClock()),
+        wall=figures(wall),
         attempted=len(samples) + len(others),
         failed=failures(samples) + failures(others),
         notes={"sources": _sources(samples), **tail_notes(samples),
