@@ -3,7 +3,8 @@
 These are not paper artefacts; they track the primitives whose cost
 dominates every experiment of the harness:
 
-* the generalized Kendall-τ distance (vectorised vs reference),
+* the generalized Kendall-τ distance (vectorised vs the scalar oracle of
+  ``tests/oracles``),
 * the pairwise weight matrices (O(m·n²) construction),
 * the weight-based generalized Kemeny scorer,
 * one aggregation run of the flagship algorithms at the Figure 6 size
@@ -14,6 +15,9 @@ Regressions here translate directly into slower table/figure regeneration.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,9 +26,11 @@ from repro.core import (
     PairwiseWeights,
     generalized_kemeny_score_from_weights,
     generalized_kendall_tau_distance,
-    generalized_kendall_tau_distance_reference,
 )
 from repro.generators import sample_uniform_ranking, uniform_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import generalized_kendall_tau_distance_reference  # noqa: E402
 
 _M, _N = 7, 35
 

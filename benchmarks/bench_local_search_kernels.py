@@ -1,12 +1,13 @@
 """K-KERN — seed reference kernels vs. the dense array kernels.
 
-Times the hot paths this repository moved onto :mod:`repro.core.arrays`:
+Times the hot paths this repository moved onto :mod:`repro.core.arrays`
+against the seed implementations, which live on as the test suite's scalar
+oracles (``tests/oracles``):
 
-* **BioConsert** end-to-end aggregation, ``kernel="reference"`` (the seed
-  list-of-buckets sweep) against ``kernel="arrays"`` (bucket-id vector +
-  segment sums);
-* **Chanas** end-to-end aggregation, reference vs. array sort passes;
-* **pairwise_distance_matrix**, the retained per-pair loop against the
+* **BioConsert** end-to-end aggregation, the seed list-of-buckets sweep
+  (``BioConsertOracle``) against the bucket-id vector + segment sums;
+* **Chanas** end-to-end aggregation, list vs. array sort passes;
+* **pairwise_distance_matrix**, the per-pair oracle loop against the
   batched all-pairs tensor kernel.
 
 Every (kernel, n, m) cell is timed over a few repeats and the **median**
@@ -36,15 +37,23 @@ from __future__ import annotations
 import json
 import os
 import statistics
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.algorithms import BioConsert, Chanas
-from repro.core import pairwise_distance_matrix, pairwise_distance_matrix_reference
+from repro.core import pairwise_distance_matrix
 from repro.experiments.report import format_table
 from repro.generators.uniform import uniform_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import (  # noqa: E402
+    BioConsertOracle,
+    ChanasOracle,
+    pairwise_distance_matrix_reference,
+)
 
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_kernels.json"
 
@@ -73,7 +82,7 @@ def _seed_distance_matrix(rankings) -> np.ndarray:
     re-encoding both rankings over ``list(domain)`` and materialising
     ``np.triu_indices`` — the baseline the acceptance floors refer to.
 
-    (The retained :func:`pairwise_distance_matrix_reference` per-pair loop
+    (The oracle ``pairwise_distance_matrix_reference`` per-pair loop
     is itself faster than this seed path: it benefits from the cached dense
     encodings and the triu-free counting kernel, and is timed separately.)
     """
@@ -115,12 +124,10 @@ def _repeats_for(n: int, m: int) -> int:
     return 1 if n * m >= 2400 else 3
 
 
-def _bench_local_search(factory, kernel_name: str, grid, bench_seed: int):
+def _bench_local_search(arrays, reference, kernel_name: str, grid, bench_seed: int):
     cells = []
     for n, m in grid:
         dataset = uniform_dataset(m, n, rng=bench_seed, name=f"kern_{kernel_name}_n{n}_m{m}")
-        arrays = factory(kernel="arrays")
-        reference = factory(kernel="reference")
         result_arrays = arrays.aggregate(dataset)      # warm-up + output check
         result_reference = reference.aggregate(dataset)
         assert result_arrays.consensus == result_reference.consensus
@@ -180,10 +187,10 @@ def run_kernel_benchmark(scale_name: str, bench_seed: int = 2015) -> dict:
     distance_grid = _DISTANCE_GRID.get(scale_name, _DISTANCE_GRID["smoke"])
     cells = []
     cells += _bench_local_search(
-        lambda **kw: BioConsert(**kw), "bioconsert", local_grid, bench_seed
+        BioConsert(), BioConsertOracle(), "bioconsert", local_grid, bench_seed
     )
     cells += _bench_local_search(
-        lambda **kw: Chanas(**kw), "chanas", local_grid, bench_seed
+        Chanas(), ChanasOracle(), "chanas", local_grid, bench_seed
     )
     cells += _bench_distance_matrix(distance_grid, bench_seed)
     payload = {

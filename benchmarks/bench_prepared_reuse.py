@@ -13,12 +13,13 @@ Two benchmark families:
   algorithms whose kernels this PR moved onto the plan (BordaCount,
   CopelandMethod, MEDRank 0.5/0.7, Pick-a-Perm, RepeatChoice, KwikSort) —
   run back-to-back on one fresh dataset.  The seed cell replays the
-  pre-plan pipeline exactly: fresh ``PairwiseWeights`` per call, reference
-  kernels, tensor-path scoring.  The plan cell builds the plan once
+  pre-plan pipeline exactly: fresh ``PairwiseWeights`` per call, the seed
+  scalar kernels (the test suite's oracles, ``tests/oracles``),
+  tensor-path scoring.  The plan cell builds the plan once
   (inside the timed region — the batch is cold) and aggregates through it.
 * **ExactSubsetDP** at n = 12/14: the pure-Python ``n·2^n`` rowsum loops
-  and per-subset popcount walks of the seed kernel against the NumPy
-  bitmask subset-sum DP.
+  and per-subset popcount walks of the seed kernel (``ExactSubsetDPOracle``)
+  against the NumPy bitmask subset-sum DP.
 
 Outputs of both paths are asserted identical in the same run.  At
 ``--scale default`` (and above) the acceptance floors of the PR are
@@ -40,6 +41,7 @@ from __future__ import annotations
 import json
 import os
 import statistics
+import sys
 import time
 from pathlib import Path
 
@@ -50,6 +52,17 @@ from repro.core.pairwise import PairwiseWeights
 from repro.core.prepared import plan_build_count, prepare_rankings
 from repro.experiments.report import format_table
 from repro.generators.uniform import uniform_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import (  # noqa: E402
+    BordaCountOracle,
+    CopelandMethodOracle,
+    ExactSubsetDPOracle,
+    KwikSortOracle,
+    MEDRankOracle,
+    PickAPermOracle,
+    RepeatChoiceOracle,
+)
 
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_prepare.json"
 
@@ -66,6 +79,17 @@ PREPARED_SUITE: tuple[str, ...] = (
     "RepeatChoice",
     "KwikSort",
 )
+
+# The seed kernel of every suite member, configured as the registry entry.
+_SEED_KERNELS = {
+    "BordaCount": lambda seed: BordaCountOracle(seed=seed),
+    "CopelandMethod": lambda seed: CopelandMethodOracle(seed=seed),
+    "MEDRank(0.5)": lambda seed: MEDRankOracle(0.5, seed=seed),
+    "MEDRank(0.7)": lambda seed: MEDRankOracle(0.7, seed=seed),
+    "Pick-a-Perm": lambda seed: PickAPermOracle(seed=seed),
+    "RepeatChoice": lambda seed: RepeatChoiceOracle(seed=seed),
+    "KwikSort": lambda seed: KwikSortOracle(seed=seed),
+}
 
 # (n, m) batch cells per scale; m = 7 as in the paper's figure 2, n on the
 # paper grid (which tops out at n = 400; 500 matches the "rankings of up to
@@ -97,13 +121,11 @@ def _median_seconds(function, repeats: int) -> float:
 
 
 def _seed_batch(rankings, algorithm_seed: int) -> int:
-    """The pre-plan pipeline: per-call weights build, reference kernels,
+    """The pre-plan pipeline: per-call weights build, seed kernels,
     tensor-path scoring — exactly what ``aggregate()`` did at the seed."""
     total = 0
     for name in PREPARED_SUITE:
-        algorithm = make_algorithm(name, seed=algorithm_seed)
-        if hasattr(algorithm, "_kernel"):
-            algorithm._kernel = "reference"
+        algorithm = _SEED_KERNELS[name](algorithm_seed)
         weights = PairwiseWeights(rankings)
         consensus = algorithm._aggregate(rankings, weights)
         total += generalized_kemeny_score(consensus, rankings)
@@ -166,7 +188,7 @@ def _bench_exact_dp(sizes, bench_seed: int):
         dataset = uniform_dataset(7, n, rng=bench_seed + 1, name=f"prep_dp_n{n}")
         rankings = list(dataset.rankings)
         bitmask = ExactSubsetDP()
-        reference = ExactSubsetDP(kernel="reference")
+        reference = ExactSubsetDPOracle()
         result_bitmask = bitmask.aggregate(rankings)   # warm-up + output check
         result_reference = reference.aggregate(rankings)
         assert result_bitmask.consensus.buckets == result_reference.consensus.buckets

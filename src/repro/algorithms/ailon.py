@@ -33,7 +33,7 @@ from scipy.optimize import linprog
 from ..core.exceptions import AlgorithmNotApplicableError, SolverUnavailableError
 from ..core.kemeny import generalized_kemeny_score_from_weights
 from ..core.pairwise import PairwiseWeights
-from ..core.ranking import Element, Ranking
+from ..core.ranking import Ranking
 from .base import RankAggregator
 from .exact_lpb import build_lpb_program
 
@@ -56,7 +56,6 @@ class AilonThreeHalves(RankAggregator):
         num_repeats: int = 3,
         max_elements: int | None = 45,
         seed: int | None = None,
-        kernel: str = "arrays",
     ):
         """
         Parameters
@@ -68,24 +67,12 @@ class AilonThreeHalves(RankAggregator):
             Refuse datasets with more elements than this (the LP has Θ(n³)
             constraints; the paper reports no result beyond n = 45).  Pass
             ``None`` to remove the guard.
-        kernel:
-            ``"arrays"`` (default) rounds each recursion node with one
-            vectorised argmax over the fractional pair variables, gathered
-            into dense (n × n) matrices; ``"reference"`` decides one
-            element at a time through the pair-index dictionary.  Same
-            pivot draws, same first-maximum tie-breaking — identical
-            rounded rankings.  (The LP solve dominates either way; the
-            array kernel removes the Python rounding loop from the
-            repeated passes.)
         """
         super().__init__(seed=seed)
         if num_repeats < 1:
             raise ValueError(f"num_repeats must be >= 1, got {num_repeats}")
-        if kernel not in ("arrays", "reference"):
-            raise ValueError(f"unknown kernel {kernel!r}; expected 'arrays' or 'reference'")
         self._num_repeats = num_repeats
         self._max_elements = max_elements
-        self._kernel = kernel
         self._lp_value: float | None = None
 
     # ------------------------------------------------------------------ #
@@ -119,20 +106,11 @@ class AilonThreeHalves(RankAggregator):
         fractional = np.asarray(result.x)
 
         rng = self._rng()
-        pair_matrices = (
-            _pair_value_matrices(n, fractional, program.pair_index)
-            if self._kernel == "arrays"
-            else None
-        )
+        pair_matrices = _pair_value_matrices(n, fractional, program.pair_index)
         best: Ranking | None = None
         best_score: int | None = None
         for _ in range(self._num_repeats):
-            if pair_matrices is not None:
-                buckets = self._pivot_round_arrays(np.arange(n), pair_matrices, rng)
-            else:
-                buckets = self._pivot_round(
-                    list(range(n)), fractional, program.pair_index, rng
-                )
+            buckets = self._pivot_round(np.arange(n), pair_matrices, rng)
             candidate = Ranking(
                 [[weights.elements[i] for i in bucket] for bucket in buckets]
             )
@@ -143,18 +121,18 @@ class AilonThreeHalves(RankAggregator):
         return best
 
     # ------------------------------------------------------------------ #
-    def _pivot_round_arrays(
+    def _pivot_round(
         self,
         elements: np.ndarray,
         pair_matrices: tuple[np.ndarray, np.ndarray, np.ndarray],
         rng: np.random.Generator,
     ) -> list[list[int]]:
-        """Array twin of :meth:`_pivot_round` (identical rounding decisions).
+        """Recursive pivot rounding guided by the fractional LP values.
 
         The fractional pair values live in dense matrices, so one argmax
         over a stacked (3 × node) slice decides every element of the node
-        at once; ``np.argmax`` keeps the reference's first-maximum
-        preference (before, then after, then tied).
+        at once; ``np.argmax`` keeps the first maximum, so value ties
+        prefer before, then after, then tied.
         """
         if elements.size == 0:
             return []
@@ -169,42 +147,9 @@ class AilonThreeHalves(RankAggregator):
             ),
             axis=0,
         )
-        result = self._pivot_round_arrays(others[choices == 0], pair_matrices, rng)
+        result = self._pivot_round(others[choices == 0], pair_matrices, rng)
         result.append([pivot, *others[choices == 2].tolist()])
-        result.extend(self._pivot_round_arrays(others[choices == 1], pair_matrices, rng))
-        return result
-
-    # ------------------------------------------------------------------ #
-    def _pivot_round(
-        self,
-        elements: list[int],
-        fractional: np.ndarray,
-        pair_index: dict[tuple[int, int], int],
-        rng: np.random.Generator,
-    ) -> list[list[int]]:
-        """Recursive pivot rounding guided by the fractional LP values."""
-        if not elements:
-            return []
-        if len(elements) == 1:
-            return [list(elements)]
-        pivot = elements[int(rng.integers(0, len(elements)))]
-        before: list[int] = []
-        tied: list[int] = [pivot]
-        after: list[int] = []
-        for element in elements:
-            if element == pivot:
-                continue
-            x_before, x_after, x_tied = _pair_values(element, pivot, fractional, pair_index)
-            choice = int(np.argmax([x_before, x_after, x_tied]))
-            if choice == 0:
-                before.append(element)
-            elif choice == 1:
-                after.append(element)
-            else:
-                tied.append(element)
-        result = self._pivot_round(before, fractional, pair_index, rng)
-        result.append(tied)
-        result.extend(self._pivot_round(after, fractional, pair_index, rng))
+        result.extend(self._pivot_round(others[choices == 1], pair_matrices, rng))
         return result
 
     def _last_details(self) -> dict[str, object]:
@@ -220,7 +165,7 @@ def _pair_value_matrices(
 
     ``x_before[a, b]`` is the fractional weight of ranking ``a`` strictly
     before ``b`` (``x_after`` / ``x_tied`` accordingly); one O(n²) gather
-    replaces the per-pair dictionary lookups of the rounding loop.
+    serves every rounding pass.
 
     Parameters
     ----------
@@ -248,16 +193,3 @@ def _pair_value_matrices(
     x_tied[b, a] = fractional[bases + 2]
     return x_before, x_after, x_tied
 
-
-def _pair_values(
-    a: int,
-    b: int,
-    fractional: np.ndarray,
-    pair_index: dict[tuple[int, int], int],
-) -> tuple[float, float, float]:
-    """Fractional (a-before-b, a-after-b, a-tied-b) values of a pair."""
-    if a < b:
-        base = 3 * pair_index[(a, b)]
-        return float(fractional[base]), float(fractional[base + 1]), float(fractional[base + 2])
-    base = 3 * pair_index[(b, a)]
-    return float(fractional[base + 1]), float(fractional[base]), float(fractional[base + 2])

@@ -29,19 +29,12 @@ and prefix sums over buckets give every possible placement in O(k).  A full
 sweep over the elements is therefore O(n²), matching the memory complexity
 O(n²) stated in the paper.
 
-Two kernels implement the sweep:
-
-* ``kernel="arrays"`` (default) keeps the candidate consensus as a dense
-  int bucket-id vector; the per-bucket sums above are segment sums computed
-  by ``np.bincount`` over the vector, bucket lookup is O(1), and a move
-  renumbers buckets with vectorised masked adds — no per-element Python
-  scan, no bucket-list reconstruction.
-* ``kernel="reference"`` is the original list-of-buckets implementation,
-  retained as the ground truth.
-
-Both kernels evaluate the same moves in the same order with the same
-tie-breaking (first minimum), so they follow identical search trajectories
-and return equal consensus rankings.
+The candidate consensus is kept as a dense int bucket-id vector; the
+per-bucket sums above are segment sums computed by ``np.bincount`` over the
+vector, bucket lookup is O(1), and a move renumbers buckets with vectorised
+masked adds — no per-element Python scan, no bucket-list reconstruction.
+Moves are evaluated element by element in index order and the first
+minimum wins cost ties, so the search trajectory is deterministic.
 """
 
 from __future__ import annotations
@@ -77,7 +70,6 @@ class BioConsert(RankAggregator):
         include_borda_start: bool = False,
         max_sweeps: int = 200,
         seed: int | None = None,
-        kernel: str = "arrays",
     ):
         """
         Parameters
@@ -89,17 +81,10 @@ class BioConsert(RankAggregator):
             Safety cap on the number of full improvement sweeps per starting
             point (the search always terminates because the score strictly
             decreases, but the cap bounds worst-case time).
-        kernel:
-            ``"arrays"`` (default) for the dense bucket-id-vector sweep,
-            ``"reference"`` for the original list-of-buckets implementation.
-            Both follow identical search trajectories.
         """
         super().__init__(seed=seed)
-        if kernel not in ("arrays", "reference"):
-            raise ValueError(f"unknown kernel {kernel!r}; expected 'arrays' or 'reference'")
         self._include_borda_start = include_borda_start
         self._max_sweeps = max_sweeps
-        self._kernel = kernel
         self._sweeps_used = 0
         self._starts_used = 0
 
@@ -226,29 +211,14 @@ class BioConsert(RankAggregator):
         cost_tied: np.ndarray,
     ) -> Iterator[Ranking]:
         """Yield ``start``, then the candidate after each improvement sweep."""
-        if self._kernel == "arrays":
-            return self._local_search_arrays(start, weights, cost_before, cost_tied)
-        return self._local_search_reference(start, weights, cost_before, cost_tied)
-
-    # ------------------------------------------------------------------ #
-    # Dense bucket-id-vector kernel (default)
-    # ------------------------------------------------------------------ #
-    def _local_search_arrays(
-        self,
-        start: Ranking,
-        weights: PairwiseWeights,
-        cost_before: np.ndarray,
-        cost_tied: np.ndarray,
-    ) -> Iterator[Ranking]:
         index_of = weights.index_of
         elements = weights.elements
         n = len(elements)
         # Candidate consensus as a dense bucket-id vector: pos[i] is the
         # bucket index of element i.  Bucket ids stay dense (0 .. k-1).
         # stamp[i] records the arrival order of element i in its current
-        # bucket (the reference kernel's lists keep elements in arrival
-        # order: start order first, then moved-in elements appended) so the
-        # reconstructed Ranking is byte-identical, ties included.
+        # bucket (start order first, then moved-in elements appended), which
+        # fixes the element order inside every reconstructed bucket.
         pos = np.empty(n, dtype=np.int64)
         stamp = np.empty(n, dtype=np.int64)
         arrival = 0
@@ -268,7 +238,7 @@ class BioConsert(RankAggregator):
         for _ in range(self._max_sweeps):
             improved = False
             for x in range(n):
-                if self._try_improve_element_arrays(
+                if self._try_improve_element(
                     x, pos, sizes, stamp, next_stamp, cost_before_f, cost_tied_f
                 ):
                     improved = True
@@ -277,7 +247,7 @@ class BioConsert(RankAggregator):
             if not improved:
                 break
 
-    def _try_improve_element_arrays(
+    def _try_improve_element(
         self,
         x: int,
         pos: np.ndarray,
@@ -287,13 +257,12 @@ class BioConsert(RankAggregator):
         cost_before: np.ndarray,
         cost_tied: np.ndarray,
     ) -> bool:
-        """Array twin of :meth:`_try_improve_element` (the reference kernel).
+        """Evaluate every placement of ``x``; apply the best strictly improving one.
 
         Per-bucket pair-cost sums are ``np.bincount`` segment sums over the
         bucket-id vector; x's own contribution is zero (zero-diagonal cost
-        matrices), so no exclusion pass is needed.  Identical cost formulas
-        and first-minimum tie-breaking keep the move sequence bit-identical
-        to the reference kernel.
+        matrices), so no exclusion pass is needed.  Cost ties go to the
+        first minimum, and joining a bucket wins over opening a new one.
         """
         num_buckets = len(sizes)
         current = int(pos[x])
@@ -345,104 +314,9 @@ class BioConsert(RankAggregator):
             np.add(pos, 1, out=pos, where=pos >= insertion)
             pos[x] = insertion
             sizes.insert(insertion, 1)
-        # x arrives last in its new bucket (reference kernels append it).
+        # x arrives last in its new bucket.
         stamp[x] = next_stamp[0]
         next_stamp[0] += 1
-        return True
-
-    # ------------------------------------------------------------------ #
-    # Reference list-of-buckets kernel (retained as ground truth)
-    # ------------------------------------------------------------------ #
-    def _local_search_reference(
-        self,
-        start: Ranking,
-        weights: PairwiseWeights,
-        cost_before: np.ndarray,
-        cost_tied: np.ndarray,
-    ) -> Iterator[Ranking]:
-        index_of = weights.index_of
-        elements = weights.elements
-        n = len(elements)
-        # buckets as lists of element indices, in consensus order.
-        buckets: list[list[int]] = [
-            [index_of[element] for element in bucket] for bucket in start.buckets
-        ]
-
-        yield start
-        for _ in range(self._max_sweeps):
-            improved = False
-            for x in range(n):
-                if self._try_improve_element(x, buckets, cost_before, cost_tied):
-                    improved = True
-            self._sweeps_used += 1
-            yield Ranking(
-                [[elements[i] for i in bucket] for bucket in buckets if bucket]
-            )
-            if not improved:
-                break
-
-    def _try_improve_element(
-        self,
-        x: int,
-        buckets: list[list[int]],
-        cost_before: np.ndarray,
-        cost_tied: np.ndarray,
-    ) -> bool:
-        """Evaluate every placement of ``x``; apply the best strictly improving one.
-
-        Reference kernel: rebuilds the without-x bucket lists explicitly.
-        """
-        current_bucket_index = _find_bucket(buckets, x)
-        was_alone = len(buckets[current_bucket_index]) == 1
-
-        # Structure without x (empty buckets dropped).
-        others: list[list[int]] = []
-        current_position_without_x: int | None = None
-        for index, bucket in enumerate(buckets):
-            remaining = [y for y in bucket if y != x] if index == current_bucket_index else bucket
-            if remaining:
-                others.append(remaining)
-            if index == current_bucket_index:
-                current_position_without_x = len(others) - (0 if was_alone else 1)
-        num_buckets = len(others)
-
-        # Per-bucket pair-cost sums for x.
-        to_x = np.empty(num_buckets, dtype=np.int64)   # cost(bucket before x)
-        from_x = np.empty(num_buckets, dtype=np.int64)  # cost(x before bucket)
-        tie_x = np.empty(num_buckets, dtype=np.int64)   # cost(x tied with bucket)
-        for k, bucket in enumerate(others):
-            indices = np.asarray(bucket, dtype=np.intp)
-            to_x[k] = cost_before[indices, x].sum()
-            from_x[k] = cost_before[x, indices].sum()
-            tie_x[k] = cost_tied[x, indices].sum()
-
-        prefix_to_x = np.concatenate(([0], np.cumsum(to_x)))      # sum over buckets < k
-        suffix_from_x = np.concatenate((np.cumsum(from_x[::-1])[::-1], [0]))  # sum over buckets >= k
-
-        # Cost of tying x with bucket k.
-        tie_costs = prefix_to_x[:num_buckets] + tie_x + suffix_from_x[1:]
-        # Cost of placing x alone in a new bucket at insertion position p (0..num_buckets).
-        new_costs = prefix_to_x + suffix_from_x
-
-        # Current contribution of x.
-        if was_alone:
-            current_cost = int(new_costs[current_position_without_x])
-        else:
-            current_cost = int(tie_costs[current_position_without_x])
-
-        best_tie = int(tie_costs.min()) if num_buckets else np.iinfo(np.int64).max
-        best_new = int(new_costs.min())
-        best_cost = min(best_tie, best_new)
-        if best_cost >= current_cost:
-            return False
-
-        if best_tie <= best_new:
-            target = int(np.argmin(tie_costs))
-            others[target].append(x)
-        else:
-            position = int(np.argmin(new_costs))
-            others.insert(position, [x])
-        buckets[:] = others
         return True
 
     def _last_details(self) -> dict[str, object]:
@@ -454,9 +328,8 @@ def _reconstruct_ranking(
 ) -> Ranking:
     """Rebuild the candidate Ranking from the dense bucket-id vector.
 
-    Groups by bucket, then by arrival stamp within the bucket — the exact
-    element order of the reference kernel's bucket lists, so the two
-    kernels produce byte-identical rankings, ties included.
+    Groups by bucket, then by arrival stamp within the bucket, so every
+    bucket lists its elements in arrival order.
     """
     order = np.lexsort((stamp, pos))
     buckets = []
@@ -467,9 +340,3 @@ def _reconstruct_ranking(
             boundary = i
     return Ranking(buckets)
 
-
-def _find_bucket(buckets: list[list[int]], x: int) -> int:
-    for index, bucket in enumerate(buckets):
-        if x in bucket:
-            return index
-    raise ValueError(f"element index {x} not present in the candidate consensus")

@@ -12,12 +12,9 @@ cannot account for the *cost* of (un)tying elements: a single input ranking
 breaking a tie is enough to untie the pair in the consensus, which is the
 behaviour Section 4.1.3 points out and Figure 5 measures.
 
-Two kernels compute the scores: ``kernel="arrays"`` (default) reads them
-off the dataset's dense position tensor through
+The scores are read off the dataset's dense position tensor through
 :func:`repro.core.arrays.positional_counts` — one vectorised pass, no
-per-bucket Python loop — while ``kernel="reference"`` walks the bucket
-lists (the seed implementation, retained as ground truth).  The integer
-sums are identical, so both kernels produce the same consensus.
+per-bucket Python loop.
 
 Complexity: O(n·m + n log n).
 """
@@ -31,30 +28,16 @@ from ..core.pairwise import PairwiseWeights
 from ..core.ranking import Element, Ranking
 from .base import RankAggregator
 
-__all__ = ["BordaCount", "borda_scores", "borda_scores_from_weights"]
-
-
-def borda_scores(rankings: Sequence[Ranking]) -> dict[Element, float]:
-    """Borda score of every element: sum over rankings of (1 + #elements before)."""
-    scores: dict[Element, float] = {}
-    for ranking in rankings:
-        elements_before = 0
-        for bucket in ranking.buckets:
-            position = elements_before + 1
-            for element in bucket:
-                scores[element] = scores.get(element, 0.0) + position
-            elements_before += len(bucket)
-    return scores
+__all__ = ["BordaCount", "borda_scores_from_weights"]
 
 
 def borda_scores_from_weights(weights: PairwiseWeights) -> dict[Element, float]:
-    """Borda scores computed from the prepared position tensor.
+    """Borda score of every element: sum over rankings of (1 + #elements before).
 
-    Vectorised twin of :func:`borda_scores`: the per-element
-    elements-before counts come from one
+    The per-element elements-before counts come from one
     :func:`~repro.core.arrays.positional_counts` pass over
     ``weights.positions``.  Every per-ranking position is an integer far
-    below 2**53, so the float scores are exactly the reference sums.
+    below 2**53, so the float scores are exact integer sums.
 
     Parameters
     ----------
@@ -84,7 +67,6 @@ class BordaCount(RankAggregator):
         *,
         tie_equal_scores: bool = True,
         seed: int | None = None,
-        kernel: str = "arrays",
     ):
         """
         Parameters
@@ -94,25 +76,14 @@ class BordaCount(RankAggregator):
             are tied in the consensus.  When ``False`` the output is a
             permutation (ties broken deterministically by element order),
             matching the original permutation-only formulation.
-        kernel:
-            ``"arrays"`` (default) scores from the prepared position
-            tensor; ``"reference"`` walks the bucket lists (seed path).
-            Both produce identical consensus rankings.
         """
         super().__init__(seed=seed)
-        if kernel not in ("arrays", "reference"):
-            raise ValueError(f"unknown kernel {kernel!r}; expected 'arrays' or 'reference'")
         self._tie_equal_scores = tie_equal_scores
-        self._kernel = kernel
 
     def _aggregate(
         self, rankings: Sequence[Ranking], weights: PairwiseWeights
     ) -> Ranking:
-        if self._kernel == "arrays":
-            scores = borda_scores_from_weights(weights)
-        else:
-            scores = borda_scores(rankings)
-        consensus = Ranking.from_scores(scores)
+        consensus = Ranking.from_scores(borda_scores_from_weights(weights))
         if self._tie_equal_scores:
             return consensus
         return consensus.break_ties()

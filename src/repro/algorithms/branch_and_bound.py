@@ -29,7 +29,7 @@ import numpy as np
 from ..core.pairwise import PairwiseWeights
 from ..core.ranking import Ranking
 from .base import RankAggregator
-from .borda import borda_scores
+from .borda import borda_scores_from_weights
 
 __all__ = ["BranchAndBound"]
 
@@ -79,7 +79,7 @@ class BranchAndBound(RankAggregator):
             order = self._beam_search(cost_before, n)
             self._proved_optimal = False
         else:
-            order = self._exact_search(cost_before, n, rankings, weights)
+            order = self._exact_search(cost_before, n, weights)
         return Ranking.from_permutation([weights.elements[i] for i in order])
 
     # ------------------------------------------------------------------ #
@@ -89,11 +89,10 @@ class BranchAndBound(RankAggregator):
         self,
         cost_before: np.ndarray,
         n: int,
-        rankings: Sequence[Ranking],
         weights: PairwiseWeights,
     ) -> list[int]:
         # Initial incumbent: Borda order (a decent permutation upper bound).
-        scores = borda_scores(rankings)
+        scores = borda_scores_from_weights(weights)
         initial = sorted(range(n), key=lambda i: scores[weights.elements[i]])
         best_order = list(initial)
         best_cost = _prefix_cost(initial, cost_before)

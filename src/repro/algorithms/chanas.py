@@ -22,12 +22,9 @@ These algorithms are Kendall-τ based (family [K]) and cannot handle ties
 through the generalized pairwise weights) but the output is always a
 permutation and the cost of (un)tying is ignored during the search.
 
-Two kernels implement the sort pass: ``kernel="arrays"`` (default) keeps the
-permutation as a dense index vector and applies every insertion move with
-vectorised delete/insert, while ``kernel="reference"`` is the original
-Python-list implementation, retained as ground truth.  Both evaluate the
-same insertion points with the same first-minimum tie-breaking, so their
-search trajectories — and outputs — are identical.
+The sort pass keeps the permutation as a dense index vector and applies
+every insertion move with vectorised delete/insert; cost ties go to the
+first (earliest) insertion point.
 """
 
 from __future__ import annotations
@@ -57,14 +54,9 @@ class Chanas(RankAggregator):
     accounts_for_tie_cost = False
     randomized = False
 
-    def __init__(
-        self, *, max_rounds: int = 50, seed: int | None = None, kernel: str = "arrays"
-    ):
+    def __init__(self, *, max_rounds: int = 50, seed: int | None = None):
         super().__init__(seed=seed)
-        if kernel not in ("arrays", "reference"):
-            raise ValueError(f"unknown kernel {kernel!r}; expected 'arrays' or 'reference'")
         self._max_rounds = max_rounds
-        self._kernel = kernel
 
     # ------------------------------------------------------------------ #
     def _aggregate(
@@ -78,8 +70,6 @@ class Chanas(RankAggregator):
     def _initial_order(
         self, rankings: Sequence[Ranking], weights: PairwiseWeights
     ) -> list[int]:
-        # Vectorised Borda start off the prepared tensor; exact same float
-        # sums as the bucket-walking reference, hence the same order.
         scores = borda_scores_from_weights(weights)
         ordered = sorted(weights.elements, key=lambda element: scores[element])
         return [weights.index_of[element] for element in ordered]
@@ -166,16 +156,11 @@ class Chanas(RankAggregator):
         improves on the best cost so far — the same trajectory the batch
         procedure walks.
         """
-        sort_pass = (
-            _sort_pass_to_fixpoint_arrays
-            if self._kernel == "arrays"
-            else _sort_pass_to_fixpoint
-        )
         current = list(order)
         best_cost = _permutation_cost(current, cost_before)
         yield list(current)
         for _ in range(self._max_rounds):
-            current = sort_pass(current, cost_before)
+            current = _sort_pass_to_fixpoint(current, cost_before)
             cost = _permutation_cost(current, cost_before)
             yield list(current)
             if cost < best_cost:
@@ -247,8 +232,12 @@ def _permutation_cost(order: Sequence[int], cost_before: np.ndarray) -> int:
     return int(np.triu(matrix, k=1).sum())
 
 
-def _sort_pass_to_fixpoint_arrays(order: list[int], cost_before: np.ndarray) -> list[int]:
-    """Array twin of :func:`_sort_pass_to_fixpoint` (identical trajectories).
+def _sort_pass_to_fixpoint(order: list[int], cost_before: np.ndarray) -> list[int]:
+    """Repeat insertion-improvement passes until no move reduces the cost.
+
+    One pass considers each element in turn and moves it to the position
+    (among all insertion points) that minimises its pairwise cost with the
+    rest of the permutation — the classic "sort" operation of Chanas.
 
     The permutation lives in a dense index vector; the insertion-cost
     profile comes from two cumulative sums over the element's cost
@@ -303,44 +292,3 @@ def _sort_pass_to_fixpoint_arrays(order: list[int], cost_before: np.ndarray) -> 
                 improved = True
     return [int(index) for index in current]
 
-
-def _sort_pass_to_fixpoint(order: list[int], cost_before: np.ndarray) -> list[int]:
-    """Repeat insertion-improvement passes until no move reduces the cost.
-
-    One pass considers each element in turn and moves it to the position
-    (among all insertion points) that minimises its pairwise cost with the
-    rest of the permutation — the classic "sort" operation of Chanas.
-    Reference kernel, retained as the ground truth for the array twin.
-    """
-    current = list(order)
-    improved = True
-    while improved:
-        improved = False
-        for position in range(len(current)):
-            element = current[position]
-            rest = current[:position] + current[position + 1:]
-            costs = _insertion_costs(element, rest, cost_before)
-            best_position = int(np.argmin(costs))
-            if costs[best_position] < costs[position]:
-                rest.insert(best_position, element)
-                current = rest
-                improved = True
-    return current
-
-
-def _insertion_costs(
-    element: int, rest: list[int], cost_before: np.ndarray
-) -> np.ndarray:
-    """Pairwise cost of ``element`` for every insertion point into ``rest``.
-
-    ``costs[p]`` is the cost of the pairs involving ``element`` when it is
-    inserted so that ``rest[:p]`` ends up before it and ``rest[p:]`` after.
-    """
-    if not rest:
-        return np.zeros(1, dtype=np.int64)
-    others = np.asarray(rest, dtype=np.intp)
-    cost_if_after = cost_before[others, element]   # other placed before element
-    cost_if_before = cost_before[element, others]  # element placed before other
-    prefix = np.concatenate(([0], np.cumsum(cost_if_after)))
-    suffix = np.concatenate((np.cumsum(cost_if_before[::-1])[::-1], [0]))
-    return prefix + suffix

@@ -15,11 +15,8 @@ opponents it beats in a majority contest — the textbook Copeland rule.  The
 position-based variant is the default because it is the one the paper
 describes (sum of the number of elements placed after).
 
-Two kernels compute the positional scores: ``kernel="arrays"`` (default)
-reads the elements-after counts off the dataset's dense position tensor
-(:func:`repro.core.arrays.positional_counts`), ``kernel="reference"`` walks
-the bucket lists (the seed implementation).  The integer sums are
-identical, so both kernels produce the same consensus.
+The positional scores read the elements-after counts off the dataset's
+dense position tensor (:func:`repro.core.arrays.positional_counts`).
 
 Complexity: O(n·m + n log n) for the positional variant; O(n²) when using
 pairwise victories.
@@ -36,30 +33,16 @@ from ..core.pairwise import PairwiseWeights
 from ..core.ranking import Element, Ranking
 from .base import RankAggregator
 
-__all__ = ["CopelandMethod", "copeland_scores", "copeland_scores_from_weights"]
-
-
-def copeland_scores(rankings: Sequence[Ranking]) -> dict[Element, float]:
-    """Copeland score: sum over rankings of the number of elements placed after."""
-    scores: dict[Element, float] = {}
-    for ranking in rankings:
-        total = len(ranking)
-        elements_before = 0
-        for bucket in ranking.buckets:
-            elements_after = total - elements_before - len(bucket)
-            for element in bucket:
-                scores[element] = scores.get(element, 0.0) + elements_after
-            elements_before += len(bucket)
-    return scores
+__all__ = ["CopelandMethod", "copeland_scores_from_weights"]
 
 
 def copeland_scores_from_weights(weights: PairwiseWeights) -> dict[Element, float]:
-    """Copeland positional scores computed from the prepared position tensor.
+    """Copeland score: sum over rankings of the number of elements placed after.
 
-    Vectorised twin of :func:`copeland_scores`: the elements-after counts
-    are ``n − bucket_size − elements_before`` per (ranking, element) cell,
-    both read from one :func:`~repro.core.arrays.positional_counts` pass.
-    The integer sums equal the reference exactly.
+    The elements-after counts are ``n − bucket_size − elements_before`` per
+    (ranking, element) cell, both read from one
+    :func:`~repro.core.arrays.positional_counts` pass over the prepared
+    position tensor.
 
     Parameters
     ----------
@@ -101,7 +84,6 @@ class CopelandMethod(RankAggregator):
         tie_equal_scores: bool = True,
         pairwise_victories: bool = False,
         seed: int | None = None,
-        kernel: str = "arrays",
     ):
         """
         Parameters
@@ -112,27 +94,18 @@ class CopelandMethod(RankAggregator):
         pairwise_victories:
             Use the classic majority-victory Copeland rule instead of the
             positional score described in the paper.
-        kernel:
-            ``"arrays"`` (default) scores from the prepared position
-            tensor; ``"reference"`` walks the bucket lists (seed path).
-            Both produce identical consensus rankings.
         """
         super().__init__(seed=seed)
-        if kernel not in ("arrays", "reference"):
-            raise ValueError(f"unknown kernel {kernel!r}; expected 'arrays' or 'reference'")
         self._tie_equal_scores = tie_equal_scores
         self._pairwise_victories = pairwise_victories
-        self._kernel = kernel
 
     def _aggregate(
         self, rankings: Sequence[Ranking], weights: PairwiseWeights
     ) -> Ranking:
         if self._pairwise_victories:
             scores = copeland_pairwise_scores(weights)
-        elif self._kernel == "arrays":
-            scores = copeland_scores_from_weights(weights)
         else:
-            scores = copeland_scores(rankings)
+            scores = copeland_scores_from_weights(weights)
         consensus = Ranking.from_scores(scores, reverse=True)
         if self._tie_equal_scores:
             return consensus

@@ -18,29 +18,22 @@ those buckets were chosen.  Hence the Bellman equation
 
     opt(S) = min_{∅ ≠ B ⊆ S} [ cross(B, S\\B) + ties(B) + opt(S\\B) ]
 
-over subsets encoded as bitmasks.  The total work is Θ(3^n) either way;
-what differs is the constant:
+over subsets encoded as bitmasks.  The total work is Θ(3^n); the
+recurrence runs on NumPy subset-sum tables: the per-subset row sums are
+built by doubling (``O(n·2^n)`` vectorised), ``cross(B, S\\B)`` decomposes
+into ``Σ_{a∈B} rowsum[a, S] − Σ_{a,b∈B} cost(a before b)`` so each state
+``S`` evaluates *all* its ``2^|S|`` candidate buckets with a handful of
+array ops — no per-submask Python walk, no per-element popcount loop.
 
-* ``kernel="bitmask"`` (default) runs the whole recurrence on NumPy
-  subset-sum tables: the per-subset row sums are built by doubling
-  (``O(n·2^n)`` vectorised), ``cross(B, S\\B)`` decomposes into
-  ``Σ_{a∈B} rowsum[a, S] − Σ_{a,b∈B} cost(a before b)`` so each state ``S``
-  evaluates *all* its ``2^|S|`` candidate buckets with a handful of array
-  ops — no per-submask Python walk, no per-element popcount loop;
-* ``kernel="reference"`` is the original pure-Python enumeration, retained
-  as ground truth.
-
-Both kernels keep the reference's tie-breaking (first strict improvement
-while enumerating candidate buckets in decreasing bitmask order), so they
-reconstruct identical optimal rankings, ties included.  The vectorised
-kernel pushes the practical ceiling from n ≈ 12–14 to n = 16
-(the default ``max_elements``).
+Among equally good buckets the first one in decreasing bitmask order wins,
+so the reconstructed optimal ranking is deterministic, ties included.  The
+vectorised recurrence puts the practical ceiling at n = 16 (the default
+``max_elements``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
 
 import numpy as np
 
@@ -110,7 +103,6 @@ class ExactSubsetDP(RankAggregator):
         *,
         max_elements: int = _MAX_ELEMENTS,
         seed: int | None = None,
-        kernel: str = "bitmask",
     ):
         """
         Parameters
@@ -118,18 +110,10 @@ class ExactSubsetDP(RankAggregator):
         max_elements:
             Refuse datasets with more elements than this (the DP is
             Θ(3^n)); the default of 16 is practical for the vectorised
-            kernel.
-        kernel:
-            ``"bitmask"`` (default) evaluates every state's candidate
-            buckets with vectorised subset-sum tables; ``"reference"`` is
-            the original pure-Python enumeration.  Identical consensus,
-            ties included.
+            recurrence.
         """
         super().__init__(seed=seed)
-        if kernel not in ("bitmask", "reference"):
-            raise ValueError(f"unknown kernel {kernel!r}; expected 'bitmask' or 'reference'")
         self._max_elements = max_elements
-        self._kernel = kernel
         self._optimal_score: int | None = None
 
     def _aggregate(
@@ -143,18 +127,13 @@ class ExactSubsetDP(RankAggregator):
             )
         cost_before = weights.cost_before().astype(np.int64)
         cost_tied = weights.cost_tied().astype(np.int64)
-        if self._kernel == "bitmask":
-            buckets = self._solve_bitmask(n, cost_before, cost_tied)
-        else:
-            buckets = self._solve_reference(n, cost_before, cost_tied)
+        buckets = self._solve(n, cost_before, cost_tied)
         return Ranking(
             [[weights.elements[i] for i in bucket] for bucket in buckets]
         )
 
     # ------------------------------------------------------------------ #
-    # Vectorised bitmask kernel (default)
-    # ------------------------------------------------------------------ #
-    def _solve_bitmask(
+    def _solve(
         self, n: int, cost_before: np.ndarray, cost_tied: np.ndarray
     ) -> list[list[int]]:
         """Bottom-up DP with vectorised per-state bucket evaluation.
@@ -163,10 +142,9 @@ class ExactSubsetDP(RankAggregator):
         ``(h(B) − g[B]) + ties[B] + opt[S \\ B]`` where ``h(B) =
         Σ_{a∈B} rowsum[a, S]`` (a subset-sum over ``S`` built by doubling)
         and ``g[B] = Σ_{a,b∈B} cost_before[a, b]`` corrects the overcount —
-        so ``h(B) − g[B] = cross(B, S\\B)`` exactly.  The reference keeps
-        the first strict minimum while walking buckets in decreasing mask
-        order; the argmin below picks the largest minimising submask,
-        which is the same bucket.
+        so ``h(B) − g[B] = cross(B, S\\B)`` exactly.  The argmin below
+        picks the largest minimising submask: the first minimum in
+        decreasing mask order.
         """
         rowsum = _subset_sums(cost_before)
         colsum = _subset_sums(cost_before.T)
@@ -210,75 +188,6 @@ class ExactSubsetDP(RankAggregator):
             result.append([i for i in range(n) if bucket_mask & (1 << i)])
             remaining ^= bucket_mask
         return result
-
-    # ------------------------------------------------------------------ #
-    # Reference pure-Python kernel (retained as ground truth)
-    # ------------------------------------------------------------------ #
-    def _solve_reference(
-        self, n: int, cost_before: np.ndarray, cost_tied: np.ndarray
-    ) -> list[list[int]]:
-        """The seed implementation: per-mask Python loops end to end."""
-        # rowsum[a][mask] = Σ_{b in mask} cost_before[a, b], built incrementally.
-        rowsum = np.zeros((n, 1 << n), dtype=np.int64)
-        for a in range(n):
-            for mask in range(1, 1 << n):
-                low = mask & -mask
-                b = low.bit_length() - 1
-                rowsum[a, mask] = rowsum[a, mask ^ low] + cost_before[a, b]
-
-        # ties[mask] = internal tie cost of the bucket encoded by mask.
-        ties = np.zeros(1 << n, dtype=np.int64)
-        tied_rowsum = np.zeros((n, 1 << n), dtype=np.int64)
-        for a in range(n):
-            for mask in range(1, 1 << n):
-                low = mask & -mask
-                b = low.bit_length() - 1
-                tied_rowsum[a, mask] = tied_rowsum[a, mask ^ low] + cost_tied[a, b]
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            a = low.bit_length() - 1
-            rest = mask ^ low
-            ties[mask] = ties[rest] + tied_rowsum[a, rest]
-
-        @lru_cache(maxsize=None)
-        def solve(remaining: int) -> tuple[int, int]:
-            """Return (optimal cost, first-bucket mask) for the remaining set."""
-            if remaining == 0:
-                return 0, 0
-            best_cost: int | None = None
-            best_bucket = 0
-            bucket = remaining
-            while bucket:
-                rest = remaining ^ bucket
-                cross = 0
-                probe = bucket
-                while probe:
-                    low = probe & -probe
-                    a = low.bit_length() - 1
-                    cross += int(rowsum[a, rest])
-                    probe ^= low
-                candidate = cross + int(ties[bucket]) + solve(rest)[0]
-                if best_cost is None or candidate < best_cost:
-                    best_cost = candidate
-                    best_bucket = bucket
-                bucket = (bucket - 1) & remaining
-            assert best_cost is not None
-            return best_cost, best_bucket
-
-        full = (1 << n) - 1
-        optimal_cost, _ = solve(full)
-        self._optimal_score = optimal_cost
-
-        # Reconstruct the buckets by replaying the optimal decisions.
-        buckets: list[list[int]] = []
-        remaining = full
-        while remaining:
-            _, bucket_mask = solve(remaining)
-            bucket = [i for i in range(n) if bucket_mask & (1 << i)]
-            buckets.append(bucket)
-            remaining ^= bucket_mask
-        solve.cache_clear()
-        return buckets
 
     def _last_details(self) -> dict[str, object]:
         return {"optimal_score": self._optimal_score}

@@ -27,7 +27,7 @@ import numpy as np
 from ..core.pairwise import PairwiseWeights
 from ..core.ranking import Ranking
 from .base import RankAggregator
-from .borda import borda_scores
+from .borda import borda_scores_from_weights
 
 __all__ = ["FaginDyn", "FaginSmall", "FaginLarge"]
 
@@ -61,7 +61,7 @@ class FaginDyn(RankAggregator):
         self, rankings: Sequence[Ranking], weights: PairwiseWeights
     ) -> Ranking:
         # 1. Fix the element order by Borda score (ascending = best first).
-        scores = borda_scores(rankings)
+        scores = borda_scores_from_weights(weights)
         ordered_elements = sorted(
             weights.elements, key=lambda element: (scores[element], _element_key(element))
         )

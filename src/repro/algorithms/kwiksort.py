@@ -16,14 +16,10 @@ The adaptation changes the complexity by a constant factor only; the cost of
 the randomized algorithm is run repeatedly and the best consensus (smallest
 generalized Kemeny score) is kept.
 
-Two kernels implement the recursion: ``kernel="arrays"`` (default) places
-*all* elements of a recursion node against the pivot in one vectorised
-comparison of the pairwise cost matrices; ``kernel="reference"`` evaluates
-one element at a time through ``PairwiseWeights.pair_cost`` (the seed
-path).  Both consume the seeded generator identically (one pivot draw per
-node, before/after recursion in the same order) and apply the same
-before → after → tied cost tie-breaking, so their outputs are identical
-run for run.
+Each recursion node places *all* of its elements against the pivot in one
+vectorised comparison of the pairwise cost matrices.  The seeded generator
+is consumed once per node (the pivot draw, before-group recursion first)
+and cost ties prefer before → after → tied, so a seed fixes the output.
 """
 
 from __future__ import annotations
@@ -32,12 +28,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..core.kemeny import (
-    generalized_kemeny_score_from_weights,
-    generalized_kemeny_scores_of_stack,
-)
+from ..core.kemeny import generalized_kemeny_scores_of_stack
 from ..core.pairwise import PairwiseWeights
-from ..core.ranking import Element, Ranking
+from ..core.ranking import Ranking
 from .base import RankAggregator
 
 __all__ = ["KwikSort"]
@@ -59,7 +52,6 @@ class KwikSort(RankAggregator):
         allow_ties: bool = True,
         num_repeats: int = 1,
         seed: int | None = None,
-        kernel: str = "arrays",
     ):
         """
         Parameters
@@ -71,63 +63,39 @@ class KwikSort(RankAggregator):
         num_repeats:
             Number of independent randomized runs; the best result is kept
             ("KwikSortMin" when greater than one).
-        kernel:
-            ``"arrays"`` (default) partitions each recursion node with one
-            vectorised pivot comparison; ``"reference"`` places elements
-            one at a time (seed path).  Identical trajectories.
         """
         super().__init__(seed=seed)
         if num_repeats < 1:
             raise ValueError(f"num_repeats must be >= 1, got {num_repeats}")
-        if kernel not in ("arrays", "reference"):
-            raise ValueError(f"unknown kernel {kernel!r}; expected 'arrays' or 'reference'")
         self._allow_ties = allow_ties
         self._num_repeats = num_repeats
-        self._kernel = kernel
         if num_repeats > 1:
             self.name = "KwikSortMin"
 
     def _aggregate(
         self, rankings: Sequence[Ranking], weights: PairwiseWeights
     ) -> Ranking:
-        rng = self._rng()
-        if self._kernel == "arrays":
-            return self._aggregate_arrays(weights, rng)
-        best: Ranking | None = None
-        best_score: int | None = None
-        for _ in range(self._num_repeats):
-            buckets = self._kwiksort(list(weights.elements), weights, rng)
-            candidate = Ranking(buckets)
-            score = generalized_kemeny_score_from_weights(candidate, weights)
-            if best_score is None or score < best_score:
-                best = candidate
-                best_score = score
-        assert best is not None
-        return best
-
-    def _aggregate_arrays(
-        self, weights: PairwiseWeights, rng: np.random.Generator
-    ) -> Ranking:
         """Run the repeats on index buckets, score them in one batched pass.
 
         Candidates stay dense position vectors until a winner is known —
-        only the best repeat (first minimum, like the reference loop) is
-        materialised as a :class:`Ranking`.
+        only the best repeat (first minimum) is materialised as a
+        :class:`Ranking`.
         """
+        rng = self._rng()
         n = weights.num_elements
         cost_before = weights.cost_before()
         cost_tied = weights.cost_tied()
         runs: list[list[list[int]]] = []
         stack = np.empty((self._num_repeats, n), dtype=np.int64)
         for repeat in range(self._num_repeats):
-            index_buckets = self._kwiksort_arrays(
+            index_buckets = self._kwiksort(
                 list(range(n)), cost_before, cost_tied, rng
             )
             runs.append(index_buckets)
             for bucket_id, bucket in enumerate(index_buckets):
                 stack[repeat, bucket] = bucket_id
         scores = generalized_kemeny_scores_of_stack(stack, weights)
-        best = int(np.argmin(scores))  # first minimum, like the serial loop
+        best = int(np.argmin(scores))  # first minimum
         return Ranking(
             [[weights.elements[i] for i in bucket] for bucket in runs[best]]
         )
@@ -138,23 +106,24 @@ class KwikSort(RankAggregator):
     # recursion nodes.
     _VECTOR_NODE_MIN = 32
 
-    def _kwiksort_arrays(
+    def _kwiksort(
         self,
         elements: list[int],
         cost_before: np.ndarray,
         cost_tied: np.ndarray,
         rng: np.random.Generator,
     ) -> list[list[int]]:
-        """Array kernel: one vectorised pivot comparison per recursion node.
+        """Return the consensus buckets (index lists) for ``elements``.
 
-        Mirrors :meth:`_kwiksort` exactly — same pivot draws (one
-        ``rng.integers`` per node with ≥ 2 elements, before-group recursion
-        first), same cost formulas (``cost_before[e, p]`` is the cost of
-        placing ``e`` before ``p``, its transpose the cost of after,
-        ``cost_tied`` the tying cost), same before → after → tied
-        preference on cost ties — but decides every element of a large
-        node at once from the cost matrices, falling back to a scalar scan
-        under :data:`_VECTOR_NODE_MIN` elements.
+        One pivot draw (``rng.integers``) per node with ≥ 2 elements,
+        before-group recursion first.  ``cost_before[e, p]`` is the cost of
+        placing ``e`` before the pivot ``p``, its transpose the cost of
+        after, ``cost_tied`` the tying cost; cost ties prefer before →
+        after → tied, which keeps the pivot bucket small so the recursion
+        behaves like the original algorithm when the tie branch does not
+        strictly help.  A large node decides every element at once from
+        the cost matrices, falling back to a scalar scan under
+        :data:`_VECTOR_NODE_MIN` elements.
         """
         if not elements:
             return []
@@ -203,57 +172,7 @@ class KwikSort(RankAggregator):
                     after.append(element)
                 else:
                     tied.append(element)
-        result = self._kwiksort_arrays(before, cost_before, cost_tied, rng)
+        result = self._kwiksort(before, cost_before, cost_tied, rng)
         result.append(tied)
-        result.extend(self._kwiksort_arrays(after, cost_before, cost_tied, rng))
+        result.extend(self._kwiksort(after, cost_before, cost_tied, rng))
         return result
-
-    def _kwiksort(
-        self,
-        elements: list[Element],
-        weights: PairwiseWeights,
-        rng: np.random.Generator,
-    ) -> list[list[Element]]:
-        """Return the list of consensus buckets for ``elements``."""
-        if not elements:
-            return []
-        if len(elements) == 1:
-            return [list(elements)]
-        pivot = elements[int(rng.integers(0, len(elements)))]
-        before: list[Element] = []
-        tied: list[Element] = [pivot]
-        after: list[Element] = []
-        for element in elements:
-            if element == pivot:
-                continue
-            placement = self._best_placement(element, pivot, weights)
-            if placement == "before":
-                before.append(element)
-            elif placement == "after":
-                after.append(element)
-            else:
-                tied.append(element)
-        result = self._kwiksort(before, weights, rng)
-        result.append(tied)
-        result.extend(self._kwiksort(after, weights, rng))
-        return result
-
-    def _best_placement(
-        self, element: Element, pivot: Element, weights: PairwiseWeights
-    ) -> str:
-        """Relation (before / after / tied) of ``element`` w.r.t. the pivot that
-        minimises the pairwise disagreements with the input rankings."""
-        cost_before = weights.pair_cost(element, pivot, "before")
-        cost_after = weights.pair_cost(element, pivot, "after")
-        if not self._allow_ties:
-            return "before" if cost_before <= cost_after else "after"
-        cost_tied = weights.pair_cost(element, pivot, "tied")
-        best_cost = min(cost_before, cost_after, cost_tied)
-        # Deterministic preference on cost ties: before, then after, then tied;
-        # keeping the pivot bucket small makes recursion behave like the
-        # original algorithm when the tie branch does not strictly help.
-        if cost_before == best_cost:
-            return "before"
-        if cost_after == best_cost:
-            return "after"
-        return "tied"

@@ -14,14 +14,11 @@ is unchanged: O(n·m).
 The paper evaluates MEDRank with thresholds 0.5 (default, best in 76% of
 the synthetic datasets) and 0.7 (Section 7.1.1).
 
-Two kernels implement the parallel reading: ``kernel="arrays"`` (default)
-observes that an element crosses the threshold exactly at the ``q``-th
-smallest of its per-ranking bucket positions (``q`` the smallest count
-satisfying the threshold), so the emission rounds of *all* elements come
-from one partial sort of the dataset's position tensor; ``kernel=
-"reference"`` is the original round-by-round reading loop.  Both group
-elements by the same emission round and produce identical consensus
-rankings.
+An element crosses the threshold exactly at the ``q``-th smallest of its
+per-ranking bucket positions (``q`` the smallest count satisfying the
+threshold), so the emission rounds of *all* elements come from one partial
+sort of the dataset's position tensor instead of a round-by-round reading
+loop.
 """
 
 from __future__ import annotations
@@ -48,9 +45,7 @@ class MEDRank(RankAggregator):
     accounts_for_tie_cost = False
     randomized = False
 
-    def __init__(
-        self, threshold: float = 0.5, *, seed: int | None = None, kernel: str = "arrays"
-    ):
+    def __init__(self, threshold: float = 0.5, *, seed: int | None = None):
         """
         Parameters
         ----------
@@ -58,37 +53,24 @@ class MEDRank(RankAggregator):
             Fraction ``h`` of the rankings that must have delivered an
             element before it is appended to the consensus; must lie in the
             open interval (0, 1].  The paper uses 0.5 and 0.7.
-        kernel:
-            ``"arrays"`` (default) computes every element's emission round
-            as an order statistic of the position tensor; ``"reference"``
-            replays the round-by-round reading.  Identical outputs.
         """
         super().__init__(seed=seed)
         if not 0.0 < threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-        if kernel not in ("arrays", "reference"):
-            raise ValueError(f"unknown kernel {kernel!r}; expected 'arrays' or 'reference'")
         self._threshold = threshold
-        self._kernel = kernel
         self.name = f"MEDRank({threshold:g})"
 
     def _aggregate(
         self, rankings: Sequence[Ranking], weights: PairwiseWeights
     ) -> Ranking:
-        if self._kernel == "arrays":
-            return self._aggregate_arrays(weights)
-        return self._aggregate_reference(rankings)
-
-    def _aggregate_arrays(self, weights: PairwiseWeights) -> Ranking:
-        """Order-statistic kernel over the prepared position tensor.
+        """Emission rounds as order statistics of the prepared position tensor.
 
         An element's seen-count after reading round ``t`` is the number of
         rankings placing it in a bucket of index ≤ ``t``; it first reaches
         the (possibly fractional) requirement ``h·m`` at the ``q``-th
-        smallest of its positions, ``q = ceil(h·m)`` — the same float
-        comparison the reference loop performs.  Elements sharing an
-        emission round share a consensus bucket; ``weights.elements`` is
-        already in the reference's tie-breaking order (type name, repr).
+        smallest of its positions, ``q = ceil(h·m)``.  Elements sharing an
+        emission round share a consensus bucket, listed in
+        ``weights.elements`` order (type name, repr).
         """
         positions = weights.positions
         m, n = positions.shape
@@ -105,41 +87,3 @@ class MEDRank(RankAggregator):
             members = np.flatnonzero(emission_rounds == round_index)
             buckets.append([weights.elements[i] for i in members])
         return Ranking(buckets)
-
-    def _aggregate_reference(self, rankings: Sequence[Ranking]) -> Ranking:
-        """The seed round-by-round reading loop (retained as ground truth)."""
-        num_rankings = len(rankings)
-        required = self._threshold * num_rankings
-        seen_counts: dict[Element, int] = {}
-        emitted: set[Element] = set()
-        consensus_buckets: list[list[Element]] = []
-
-        max_rounds = max(ranking.num_buckets for ranking in rankings)
-        for round_index in range(max_rounds):
-            newly_emitted: list[Element] = []
-            for ranking in rankings:
-                if round_index >= ranking.num_buckets:
-                    continue
-                for element in ranking.buckets[round_index]:
-                    seen_counts[element] = seen_counts.get(element, 0) + 1
-                    if element not in emitted and seen_counts[element] >= required:
-                        emitted.add(element)
-                        newly_emitted.append(element)
-            if newly_emitted:
-                consensus_buckets.append(sorted(newly_emitted, key=_element_key))
-
-        # Elements that never reach the threshold (possible when the
-        # threshold is larger than the fraction of rankings containing the
-        # element's bucket rounds) are appended in a final bucket, mirroring
-        # the unification convention.
-        remaining = sorted(
-            (element for element in rankings[0].domain if element not in emitted),
-            key=_element_key,
-        )
-        if remaining:
-            consensus_buckets.append(remaining)
-        return Ranking(consensus_buckets)
-
-
-def _element_key(element: Element) -> tuple[str, str]:
-    return (type(element).__name__, repr(element))

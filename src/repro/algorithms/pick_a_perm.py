@@ -15,10 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..core.kemeny import (
-    generalized_kemeny_score_from_weights,
-    generalized_kemeny_scores_of_stack,
-)
+from ..core.kemeny import generalized_kemeny_scores_of_stack
 from ..core.pairwise import PairwiseWeights
 from ..core.ranking import Ranking
 from .base import RankAggregator
@@ -41,7 +38,6 @@ class PickAPerm(RankAggregator):
         *,
         derandomized: bool = True,
         seed: int | None = None,
-        kernel: str = "arrays",
     ):
         """
         Parameters
@@ -51,35 +47,20 @@ class PickAPerm(RankAggregator):
             return the input ranking with the smallest generalized Kemeny
             score.  When ``False``, return an input ranking chosen uniformly
             at random.
-        kernel:
-            ``"arrays"`` (default) scores every input at once with the
-            batched stack scorer over the prepared position tensor;
-            ``"reference"`` scores one input at a time through the
-            per-candidate mask path.  Identical scores, identical
-            (first-minimum) choice.
         """
         super().__init__(seed=seed)
-        if kernel not in ("arrays", "reference"):
-            raise ValueError(f"unknown kernel {kernel!r}; expected 'arrays' or 'reference'")
         self._derandomized = derandomized
-        self._kernel = kernel
         self._chosen_index: int | None = None
 
     def _aggregate(
         self, rankings: Sequence[Ranking], weights: PairwiseWeights
     ) -> Ranking:
         if self._derandomized:
-            if self._kernel == "arrays":
-                # The candidate pool *is* the input stack the plan already
-                # encodes: one batched pass scores every row.
-                scores = generalized_kemeny_scores_of_stack(
-                    weights.positions, weights
-                ).tolist()
-            else:
-                scores = [
-                    generalized_kemeny_score_from_weights(candidate, weights)
-                    for candidate in rankings
-                ]
+            # The candidate pool *is* the input stack the plan already
+            # encodes: one batched pass scores every row.
+            scores = generalized_kemeny_scores_of_stack(
+                weights.positions, weights
+            ).tolist()
             best_index = min(range(len(rankings)), key=scores.__getitem__)
             self._chosen_index = best_index
             return rankings[best_index]

@@ -16,14 +16,10 @@ best solution ("RepeatChoiceMin"); the :class:`RepeatChoice` class exposes a
 ``num_repeats`` parameter for that purpose and the registry provides both
 configurations.
 
-Two kernels implement a run: ``kernel="arrays"`` (default) observes that
-the successive refinements amount to ordering the elements by the
+The successive refinements of a run amount to ordering the elements by the
 lexicographic tuple of their positions in the (randomly ordered) input
-rankings, which is one ``np.lexsort`` over the dataset's position tensor;
-``kernel="reference"`` replays the original per-element dictionary
-refinement.  Both consume the seeded generator identically (one
-permutation per run) and group exactly the same elements, so consensus and
-scores are equal run for run.
+rankings, so a run is one ``np.lexsort`` over the dataset's position
+tensor.  Each run consumes the seeded generator once (one permutation).
 """
 
 from __future__ import annotations
@@ -32,10 +28,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..core.kemeny import (
-    generalized_kemeny_score_from_weights,
-    generalized_kemeny_scores_of_stack,
-)
+from ..core.kemeny import generalized_kemeny_scores_of_stack
 from ..core.pairwise import PairwiseWeights
 from ..core.ranking import Element, Ranking
 from .base import RankAggregator
@@ -59,7 +52,6 @@ class RepeatChoice(RankAggregator):
         keep_ties: bool = True,
         num_repeats: int = 1,
         seed: int | None = None,
-        kernel: str = "arrays",
     ):
         """
         Parameters
@@ -72,68 +64,44 @@ class RepeatChoice(RankAggregator):
             Number of independent randomized runs; the best consensus (by
             generalized Kemeny score) is returned.  ``num_repeats > 1``
             corresponds to the "RepeatChoiceMin" rows of the paper's tables.
-        kernel:
-            ``"arrays"`` (default) realises each run as one lexicographic
-            sort of the position tensor; ``"reference"`` replays the
-            per-element dictionary refinement.  Equal consensus per run.
         """
         super().__init__(seed=seed)
         if num_repeats < 1:
             raise ValueError(f"num_repeats must be >= 1, got {num_repeats}")
-        if kernel not in ("arrays", "reference"):
-            raise ValueError(f"unknown kernel {kernel!r}; expected 'arrays' or 'reference'")
         self._keep_ties = keep_ties
         self._num_repeats = num_repeats
-        self._kernel = kernel
         if num_repeats > 1:
             self.name = "RepeatChoiceMin"
 
     def _aggregate(
         self, rankings: Sequence[Ranking], weights: PairwiseWeights
     ) -> Ranking:
-        rng = self._rng()
-        if self._kernel == "arrays":
-            return self._aggregate_arrays(weights, rng)
-        best: Ranking | None = None
-        best_score: int | None = None
-        for _ in range(self._num_repeats):
-            candidate = self._single_run(rankings, rng)
-            score = generalized_kemeny_score_from_weights(candidate, weights)
-            if best_score is None or score < best_score:
-                best = candidate
-                best_score = score
-        assert best is not None
-        return best
-
-    def _aggregate_arrays(
-        self, weights: PairwiseWeights, rng: np.random.Generator
-    ) -> Ranking:
         """Run the repeats as position vectors, score them in one batch.
 
-        The refinement keys of the reference kernel are the tuples of an
-        element's positions in the rankings taken in random order; sorting
-        the consensus buckets by those tuples is exactly a lexicographic
-        sort of the tensor's columns, with bucket boundaries wherever two
-        consecutive columns differ.  The generator is consumed identically
-        (one ``rng.permutation`` per run), candidates stay dense position
-        vectors, and only the winning repeat (first minimum, like the
-        serial loop) is materialised as a :class:`Ranking`.
+        The refinement keys of a run are the tuples of an element's
+        positions in the rankings taken in random order; sorting the
+        consensus buckets by those tuples is exactly a lexicographic sort
+        of the tensor's columns, with bucket boundaries wherever two
+        consecutive columns differ.  Candidates stay dense position
+        vectors, and only the winning repeat (first minimum) is
+        materialised as a :class:`Ranking`.
         """
+        rng = self._rng()
         stack = np.empty((self._num_repeats, weights.num_elements), dtype=np.int64)
         for repeat in range(self._num_repeats):
-            stack[repeat] = self._single_run_positions(weights, rng)
+            stack[repeat] = self._single_run(weights, rng)
         scores = generalized_kemeny_scores_of_stack(stack, weights)
         best = int(np.argmin(scores))
         return _ranking_from_positions(stack[best], weights.elements)
 
-    def _single_run_positions(
+    def _single_run(
         self, weights: PairwiseWeights, rng: np.random.Generator
     ) -> np.ndarray:
         """One refinement run, returned as a dense bucket-position vector."""
         order = rng.permutation(weights.num_rankings)
         keys = weights.positions[order]
         # np.lexsort treats its *last* key as primary: reverse the rows so
-        # the first drawn ranking dominates, as in the reference.
+        # the first drawn ranking dominates.
         sorted_columns = np.lexsort(keys[::-1])
         positions = np.empty(sorted_columns.size, dtype=np.int64)
         if self._keep_ties:
@@ -148,41 +116,13 @@ class RepeatChoice(RankAggregator):
             positions[sorted_columns] = np.arange(sorted_columns.size)
         return positions
 
-    def _single_run(
-        self, rankings: Sequence[Ranking], rng: np.random.Generator
-    ) -> Ranking:
-        order = rng.permutation(len(rankings))
-        start = rankings[order[0]]
-        # A consensus bucket is represented by the list of refinement keys of
-        # its elements: the tuple of positions in the rankings used so far.
-        keys: dict[Element, tuple[int, ...]] = {
-            element: (start.position_of(element),) for element in start.domain
-        }
-        for ranking_index in order[1:]:
-            refiner = rankings[ranking_index]
-            keys = {
-                element: key + (refiner.position_of(element),)
-                for element, key in keys.items()
-            }
-        buckets: dict[tuple[int, ...], list[Element]] = {}
-        for element, key in keys.items():
-            buckets.setdefault(key, []).append(element)
-        ordered_keys = sorted(buckets)
-        consensus = Ranking([buckets[key] for key in ordered_keys])
-        if self._keep_ties:
-            return consensus
-        return consensus.break_ties()
-
-
 def _ranking_from_positions(
     positions: np.ndarray, elements: Sequence[Element]
 ) -> Ranking:
     """Rebuild a ranking from a dense bucket-position vector.
 
     Elements are grouped by position in ascending order; within a bucket
-    they keep the canonical element order (ascending index), matching the
-    reference kernel up to within-bucket order (which :class:`Ranking`
-    equality ignores).
+    they keep the canonical element order (ascending index).
     """
     order = np.argsort(positions, kind="stable")
     buckets: list[list[Element]] = []

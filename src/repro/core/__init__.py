@@ -18,10 +18,8 @@ from .arrays import (
 from .correlation import dataset_similarity, kendall_tau_correlation
 from .distances import (
     generalized_kendall_tau_distance,
-    generalized_kendall_tau_distance_reference,
     kendall_tau_distance,
     pairwise_distance_matrix,
-    pairwise_distance_matrix_reference,
     spearman_footrule_distance,
     weighted_generalized_kendall_tau_distance,
 )
@@ -73,11 +71,9 @@ __all__ = [
     "PairwiseWeights",
     "kendall_tau_distance",
     "generalized_kendall_tau_distance",
-    "generalized_kendall_tau_distance_reference",
     "weighted_generalized_kendall_tau_distance",
     "spearman_footrule_distance",
     "pairwise_distance_matrix",
-    "pairwise_distance_matrix_reference",
     "position_tensor",
     "pairwise_order_counts",
     "positional_counts",

@@ -8,12 +8,8 @@ Implements the two dissimilarity measures of Section 2 of the paper:
   counting the pairs that are either inverted, or tied in exactly one of
   the two rankings (each such pair costs one disagreement).
 
-Both distances are provided in two flavours:
-
-* a pure-Python *reference* implementation (clear, O(n²), used in tests as
-  the ground truth);
-* a vectorised NumPy implementation operating on bucket-position arrays,
-  which is what the rest of the library calls.
+Both distances are computed by vectorised NumPy kernels operating on
+bucket-position arrays.
 
 The module also implements the weighted variant of ``G`` discussed in
 Section 2.2 (a cost ``p`` for tie/untie disagreements instead of 1) and
@@ -33,13 +29,11 @@ from .ranking import Element, Ranking
 __all__ = [
     "kendall_tau_distance",
     "generalized_kendall_tau_distance",
-    "generalized_kendall_tau_distance_reference",
     "weighted_generalized_kendall_tau_distance",
     "spearman_footrule_distance",
     "position_arrays",
     "max_pair_count",
     "pairwise_distance_matrix",
-    "pairwise_distance_matrix_reference",
 ]
 
 
@@ -137,52 +131,18 @@ def _sort_and_count(sequence: list[int]) -> tuple[list[int], int]:
 # --------------------------------------------------------------------------- #
 # Generalized Kendall-τ (rankings with ties)
 # --------------------------------------------------------------------------- #
-def generalized_kendall_tau_distance_reference(r: Ranking, s: Ranking) -> int:
-    """Reference O(n²) implementation of the generalized Kendall-τ distance.
+def generalized_kendall_tau_distance(r: Ranking, s: Ranking) -> int:
+    """Generalized Kendall-τ distance ``G`` between two rankings with ties.
 
     A pair of elements counts as one disagreement when it is
 
     * ordered in opposite ways by the two rankings, or
     * tied in exactly one of the two rankings.
 
-    This is the formulation ``G`` of Section 2.2 with unit costs.
-    """
-    _check_same_domain(r, s)
-    elements = list(r.domain)
-    disagreements = 0
-    for index, a in enumerate(elements):
-        ra = r.position_of(a)
-        sa = s.position_of(a)
-        for b in elements[index + 1:]:
-            rb = r.position_of(b)
-            sb = s.position_of(b)
-            if _pair_disagrees(ra, rb, sa, sb):
-                disagreements += 1
-    return disagreements
-
-
-def _pair_disagrees(ra: int, rb: int, sa: int, sb: int) -> bool:
-    """Unit-cost disagreement test for a single pair."""
-    if ra < rb and sa > sb:
-        return True
-    if ra > rb and sa < sb:
-        return True
-    if ra != rb and sa == sb:
-        return True
-    if ra == rb and sa != sb:
-        return True
-    return False
-
-
-def generalized_kendall_tau_distance(r: Ranking, s: Ranking) -> int:
-    """Generalized Kendall-τ distance ``G`` between two rankings with ties.
-
-    Equivalent to :func:`generalized_kendall_tau_distance_reference` but
-    computed by the dense array kernel
-    (:func:`repro.core.arrays.disagreement_counts`), which counts on the
-    full comparison matrices — no ``np.triu_indices`` temporaries — and is
-    one to two orders of magnitude faster for the dataset sizes used in the
-    paper.
+    This is the formulation ``G`` of Section 2.2 with unit costs, computed
+    by the dense array kernel (:func:`repro.core.arrays.disagreement_counts`),
+    which counts on the full comparison matrices — no ``np.triu_indices``
+    temporaries.
 
     For two permutations, ``G`` coincides with the classical Kendall-τ
     distance ``D``.
@@ -255,27 +215,10 @@ def pairwise_distance_matrix(rankings: Sequence[Ranking]) -> np.ndarray:
 
     All pairs are computed at once from the dataset's stacked position
     tensor (:func:`repro.core.arrays.pairwise_distance_tensor`) instead of
-    ``m²`` independent distance calls; see
-    :func:`pairwise_distance_matrix_reference` for the retained per-pair
-    path.
+    ``m²`` independent distance calls.
     """
     if len(rankings) == 0:
         return np.zeros((0, 0), dtype=np.int64)
     _, positions = position_tensor(rankings)
     return pairwise_distance_tensor(positions)
 
-
-def pairwise_distance_matrix_reference(rankings: Sequence[Ranking]) -> np.ndarray:
-    """Reference all-pairs path: one distance call per pair of rankings.
-
-    Kept as the ground truth for the batched
-    :func:`pairwise_distance_matrix`; the outputs are identical.
-    """
-    m = len(rankings)
-    matrix = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            distance = generalized_kendall_tau_distance(rankings[i], rankings[j])
-            matrix[i, j] = distance
-            matrix[j, i] = distance
-    return matrix

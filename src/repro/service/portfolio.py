@@ -45,7 +45,6 @@ from ..core.prepared import PreparedDataset
 from ..core.ranking import Ranking
 from ..datasets.dataset import Dataset
 from ..evaluation.guidance import Priority, profile_dataset, recommend
-from ..evaluation.timing import run_with_budget
 from ..telemetry import runtime as _telemetry
 from ..testing import faults as _faults
 from ..testing.faults import TransientRunError, WorkerCrashError
@@ -77,11 +76,11 @@ class MemberReport:
         ``"finished"`` (ran to completion), ``"cancelled"`` (deadline hit,
         best-so-far kept), ``"skipped"`` (never started: estimated cost
         exceeded the remaining budget), ``"over-budget"`` (a one-shot run
-        overran the deadline; its result was discarded) or ``"failed"``
+        overran the deadline; its result still competes) or ``"failed"``
         (library error, e.g. algorithm not applicable).
     score:
         Best generalized Kemeny score the member achieved (``None`` when
-        skipped, discarded or failed).
+        skipped or failed).
     steps:
         Anytime increments taken (0 for one-shot members).
     elapsed_seconds:
@@ -305,7 +304,7 @@ class PortfolioScheduler:
             self._race_anytime(racers, dataset, deadline, consider, prepared)
         )
 
-        # Last resort — every member was skipped, discarded or failed (e.g.
+        # Last resort — every member was skipped or failed (e.g.
         # a zero budget with no anytime racer): run the floor algorithm
         # unbudgeted so a deadline still yields a valid consensus.
         if best is None:
@@ -431,13 +430,11 @@ class PortfolioScheduler:
                 )
             tick = time.perf_counter()
             try:
-                # Fault-injection site "portfolio.member" (crash / exception
-                # rules); failures here follow the same transient-retry path
-                # as real ones.
+                # Fault-injection site "portfolio.member": crash / exception
+                # rules follow the same transient-retry path as real
+                # failures, and a slow rule's delay counts as member time.
                 _faults.maybe_fire("portfolio.member", name, attempt)
-                result, elapsed, within = run_with_budget(
-                    lambda: algorithm.aggregate(dataset, prepared=prepared), remaining
-                )
+                result = algorithm.aggregate(dataset, prepared=prepared)
             except (TransientRunError, WorkerCrashError) as error:
                 spent += time.perf_counter() - tick
                 attempt += 1
@@ -464,23 +461,19 @@ class PortfolioScheduler:
                     score=None,
                     reason=str(error),
                 )
+            elapsed = time.perf_counter() - tick
             spent += elapsed
-            if not within or result is None:
-                return MemberReport(
-                    algorithm=name,
-                    mode="one-shot",
-                    status="over-budget",
-                    score=None,
-                    elapsed_seconds=spent,
-                    reason="run overran the remaining budget; result discarded",
-                )
+            # An overrun cannot be interrupted, so its consensus is already
+            # paid for: it competes like any other, only reported as late.
             consider(int(result.score), result.consensus, name)
+            overran = remaining is not None and elapsed > remaining
             return MemberReport(
                 algorithm=name,
                 mode="one-shot",
-                status="finished",
+                status="over-budget" if overran else "finished",
                 score=int(result.score),
                 elapsed_seconds=spent,
+                reason="run overran the remaining budget" if overran else None,
             )
 
     def _race_anytime(

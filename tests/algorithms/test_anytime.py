@@ -23,9 +23,11 @@ from repro.algorithms import (
 from repro.core.kemeny import generalized_kemeny_score
 from repro.generators import uniform_dataset
 
+from oracles import BioConsertOracle
+
 ANYTIME_FACTORIES = {
     "BioConsert": lambda: BioConsert(),
-    "BioConsert(reference)": lambda: BioConsert(kernel="reference"),
+    "BioConsert(reference)": lambda: BioConsertOracle(),
     "Chanas": lambda: Chanas(),
     "ChanasBoth": lambda: ChanasBoth(),
     "Chained(Borda→BioConsert)": lambda: ChainedAggregator(BordaCount(), BioConsert()),
@@ -104,7 +106,7 @@ class TestControllerBookkeeping:
 
     def test_kernel_equivalence_of_anytime_trajectories(self, dataset):
         arrays = BioConsert().begin_anytime(dataset)
-        reference = BioConsert(kernel="reference").begin_anytime(dataset)
+        reference = BioConsertOracle().begin_anytime(dataset)
         while True:
             advanced_arrays = arrays.step()
             advanced_reference = reference.step()

@@ -1,12 +1,12 @@
-"""Property-based equivalence of the array kernels and the seed references.
+"""Property-based equivalence of the array kernels and the scalar oracles.
 
-The PR that introduced :mod:`repro.core.arrays` rewrote the hot paths —
-``PairwiseWeights``, ``pairwise_distance_matrix``, the BioConsert and
-Chanas local searches — on dense bucket-id vectors and batched tensor ops.
-The contract is *identical outputs*: the array kernels must follow the same
-move selection and tie-breaking as the retained reference implementations
-on any dataset.  This suite drives both paths over random datasets with
-ties (n up to ~60 elements, m up to ~15 rankings) and asserts equality.
+The hot paths — ``PairwiseWeights``, ``pairwise_distance_matrix``, the
+BioConsert and Chanas local searches — run on dense bucket-id vectors and
+batched tensor ops.  The contract is *identical outputs*: they must follow
+the same move selection and tie-breaking as the scalar reference
+implementations in :mod:`oracles` on any dataset.  This suite drives both
+over random datasets with ties (n up to ~60 elements, m up to ~15
+rankings) and asserts equality.
 """
 
 from __future__ import annotations
@@ -21,8 +21,14 @@ from repro.core import (
     Ranking,
     generalized_kemeny_score,
     generalized_kendall_tau_distance,
-    generalized_kendall_tau_distance_reference,
     pairwise_distance_matrix,
+)
+
+from oracles import (
+    BioConsertOracle,
+    ChanasBothOracle,
+    ChanasOracle,
+    generalized_kendall_tau_distance_reference,
     pairwise_distance_matrix_reference,
 )
 
@@ -115,8 +121,8 @@ def test_batched_kemeny_score_matches_per_pair_sum(params):
 @settings(max_examples=12, deadline=None)
 def test_bioconsert_kernels_follow_identical_trajectories(params):
     rankings = make_dataset(params)
-    arrays = BioConsert(kernel="arrays")
-    reference = BioConsert(kernel="reference")
+    arrays = BioConsert()
+    reference = BioConsertOracle()
     result_arrays = arrays.aggregate(rankings)
     result_reference = reference.aggregate(rankings)
     # Byte-identical, not merely equal: same bucket sequence AND the same
@@ -135,12 +141,8 @@ def test_bioconsert_kernels_follow_identical_trajectories(params):
 @settings(max_examples=12, deadline=None)
 def test_bioconsert_kernels_agree_with_borda_start(params):
     rankings = make_dataset(params)
-    result_arrays = BioConsert(kernel="arrays", include_borda_start=True).aggregate(
-        rankings
-    )
-    result_reference = BioConsert(
-        kernel="reference", include_borda_start=True
-    ).aggregate(rankings)
+    result_arrays = BioConsert(include_borda_start=True).aggregate(rankings)
+    result_reference = BioConsertOracle(include_borda_start=True).aggregate(rankings)
     assert result_arrays.consensus == result_reference.consensus
     assert result_arrays.score == result_reference.score
 
@@ -149,8 +151,8 @@ def test_bioconsert_kernels_agree_with_borda_start(params):
 @settings(max_examples=15, deadline=None)
 def test_chanas_kernels_follow_identical_trajectories(params):
     rankings = make_dataset(params)
-    result_arrays = Chanas(kernel="arrays").aggregate(rankings)
-    result_reference = Chanas(kernel="reference").aggregate(rankings)
+    result_arrays = Chanas().aggregate(rankings)
+    result_reference = ChanasOracle().aggregate(rankings)
     assert result_arrays.consensus == result_reference.consensus
     assert result_arrays.score == result_reference.score
 
@@ -159,7 +161,7 @@ def test_chanas_kernels_follow_identical_trajectories(params):
 @settings(max_examples=8, deadline=None)
 def test_chanas_both_kernels_follow_identical_trajectories(params):
     rankings = make_dataset(params)
-    result_arrays = ChanasBoth(kernel="arrays").aggregate(rankings)
-    result_reference = ChanasBoth(kernel="reference").aggregate(rankings)
+    result_arrays = ChanasBoth().aggregate(rankings)
+    result_reference = ChanasBothOracle().aggregate(rankings)
     assert result_arrays.consensus == result_reference.consensus
     assert result_arrays.score == result_reference.score

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import MC4, BordaCount, CopelandMethod, MEDRank
-from repro.algorithms.borda import borda_scores
-from repro.algorithms.copeland import copeland_scores
 from repro.core import Ranking
+
+from oracles import borda_scores, copeland_scores
 
 
 class TestBordaScores:

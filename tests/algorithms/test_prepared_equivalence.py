@@ -1,13 +1,13 @@
-"""Prepared vs. unprepared equivalence, registry-wide, plus kernel twins.
+"""Prepared vs. unprepared equivalence, registry-wide, plus scalar oracles.
 
-The shared-plan PR rewired ``RankAggregator.aggregate`` to consume a
-:class:`~repro.core.prepared.PreparedDataset` (memoized, shareable) and
-moved the positional / pivot / subset-DP algorithms onto dense kernels.
-The contract is *identical results*: for every registered algorithm, the
-three entry paths — plain rankings (plan built on the spot), dataset
-(memoized plan) and an explicitly shared plan — must return the same
-consensus, score and diagnostics, and every new dense kernel must follow
-its reference twin move for move on random tied datasets.
+``RankAggregator.aggregate`` consumes a
+:class:`~repro.core.prepared.PreparedDataset` (memoized, shareable) and the
+positional / pivot / subset-DP algorithms run on dense kernels.  The
+contract is *identical results*: for every registered algorithm, the three
+entry paths — plain rankings (plan built on the spot), dataset (memoized
+plan) and an explicitly shared plan — must return the same consensus,
+score and diagnostics, and every dense kernel must follow its scalar
+oracle (:mod:`oracles`) move for move on random tied datasets.
 """
 
 from __future__ import annotations
@@ -24,11 +24,23 @@ from repro.algorithms import (
     ExactSubsetDP,
     KwikSort,
     MEDRank,
+    PickAPerm,
     RepeatChoice,
 )
 from repro.algorithms.registry import available_algorithms, make_algorithm
 from repro.core import Ranking, prepare_rankings
 from repro.datasets import Dataset
+
+from oracles import (
+    AilonThreeHalvesOracle,
+    BordaCountOracle,
+    CopelandMethodOracle,
+    ExactSubsetDPOracle,
+    KwikSortOracle,
+    MEDRankOracle,
+    PickAPermOracle,
+    RepeatChoiceOracle,
+)
 
 SEED = 20150731
 
@@ -85,7 +97,7 @@ def test_foreign_plan_is_rejected():
 
 
 # --------------------------------------------------------------------------- #
-# New dense kernels vs their reference twins
+# Dense kernels vs their scalar oracles
 # --------------------------------------------------------------------------- #
 dataset_params = st.tuples(
     st.integers(min_value=2, max_value=40),   # n elements
@@ -107,7 +119,7 @@ def _pairs(params, arrays_factory, reference_factory):
 @settings(max_examples=25, deadline=None)
 def test_borda_kernels_identical(params):
     arrays, reference = _pairs(
-        params, lambda: BordaCount(), lambda: BordaCount(kernel="reference")
+        params, lambda: BordaCount(), lambda: BordaCountOracle()
     )
     assert arrays.consensus.buckets == reference.consensus.buckets
     assert arrays.score == reference.score
@@ -117,7 +129,7 @@ def test_borda_kernels_identical(params):
 @settings(max_examples=25, deadline=None)
 def test_copeland_kernels_identical(params):
     arrays, reference = _pairs(
-        params, lambda: CopelandMethod(), lambda: CopelandMethod(kernel="reference")
+        params, lambda: CopelandMethod(), lambda: CopelandMethodOracle()
     )
     assert arrays.consensus.buckets == reference.consensus.buckets
     assert arrays.score == reference.score
@@ -129,7 +141,7 @@ def test_medrank_kernels_identical(params, threshold):
     arrays, reference = _pairs(
         params,
         lambda: MEDRank(threshold),
-        lambda: MEDRank(threshold, kernel="reference"),
+        lambda: MEDRankOracle(threshold),
     )
     assert arrays.consensus.buckets == reference.consensus.buckets
     assert arrays.score == reference.score
@@ -141,11 +153,9 @@ def test_repeat_choice_kernels_equal_per_seeded_run(params):
     n, m, seed = params
     rankings = make_rankings(n, m, seed)
     arrays = RepeatChoice(seed=SEED, num_repeats=3).aggregate(rankings)
-    reference = RepeatChoice(seed=SEED, num_repeats=3, kernel="reference").aggregate(
-        rankings
-    )
-    # Same refinement keys → same bucket partition and order; the reference
-    # kernel's within-bucket order follows set iteration, so compare the
+    reference = RepeatChoiceOracle(seed=SEED, num_repeats=3).aggregate(rankings)
+    # Same refinement keys → same bucket partition and order; the oracle's
+    # within-bucket order follows set iteration, so compare the
     # (order-insensitive) rankings and the scores.
     assert arrays.consensus == reference.consensus
     assert arrays.score == reference.score
@@ -159,8 +169,8 @@ def test_kwiksort_kernels_follow_identical_trajectories(params, allow_ties):
     arrays = KwikSort(seed=SEED, allow_ties=allow_ties, num_repeats=2).aggregate(
         rankings
     )
-    reference = KwikSort(
-        seed=SEED, allow_ties=allow_ties, num_repeats=2, kernel="reference"
+    reference = KwikSortOracle(
+        seed=SEED, allow_ties=allow_ties, num_repeats=2
     ).aggregate(rankings)
     assert arrays.consensus.buckets == reference.consensus.buckets
     assert arrays.score == reference.score
@@ -178,7 +188,7 @@ def test_exact_dp_kernels_identical(params):
     n, m, seed = params
     rankings = make_rankings(n, m, seed)
     bitmask = ExactSubsetDP().aggregate(rankings)
-    reference = ExactSubsetDP(kernel="reference").aggregate(rankings)
+    reference = ExactSubsetDPOracle().aggregate(rankings)
     # Bit-identical reconstruction: same bucket sequence, same tie-breaking.
     assert bitmask.consensus.buckets == reference.consensus.buckets
     assert bitmask.score == reference.score
@@ -193,6 +203,15 @@ def test_ailon_rounding_kernels_identical():
     for seed in range(4):
         rankings = make_rankings(7, 4, seed)
         arrays = AilonThreeHalves(seed=SEED).aggregate(rankings)
-        reference = AilonThreeHalves(seed=SEED, kernel="reference").aggregate(rankings)
+        reference = AilonThreeHalvesOracle(seed=SEED).aggregate(rankings)
         assert arrays.consensus.buckets == reference.consensus.buckets
         assert arrays.score == reference.score
+
+
+@given(dataset_params)
+@settings(max_examples=25, deadline=None)
+def test_pick_a_perm_kernels_identical(params):
+    arrays, reference = _pairs(params, lambda: PickAPerm(), lambda: PickAPermOracle())
+    assert arrays.consensus.buckets == reference.consensus.buckets
+    assert arrays.score == reference.score
+    assert arrays.details["chosen_input_index"] == reference.details["chosen_input_index"]

@@ -12,11 +12,14 @@ from repro.core import (
     Ranking,
     disagreement_counts,
     distances_to_stack,
-    generalized_kendall_tau_distance_reference,
-    pairwise_distance_matrix_reference,
     pairwise_distance_tensor,
     pairwise_order_counts,
     position_tensor,
+)
+
+from oracles import (
+    generalized_kendall_tau_distance_reference,
+    pairwise_distance_matrix_reference,
 )
 
 

@@ -10,12 +10,13 @@ from repro.core import (
     DomainMismatchError,
     Ranking,
     generalized_kendall_tau_distance,
-    generalized_kendall_tau_distance_reference,
     kendall_tau_distance,
     pairwise_distance_matrix,
     spearman_footrule_distance,
     weighted_generalized_kendall_tau_distance,
 )
+
+from oracles import generalized_kendall_tau_distance_reference
 
 
 class TestKendallTau:

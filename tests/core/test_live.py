@@ -20,6 +20,8 @@ from repro.core import (
 from repro.datasets import Dataset
 from repro.engine import dataset_fingerprint
 
+from oracles import BioConsertOracle
+
 ELEMENTS = ["A", "B", "C", "D", "E", "F"]
 
 
@@ -141,13 +143,13 @@ class TestWarmStartEquivalence:
     )
     def test_trajectories_match_fresh_preparation(self, initial, steps):
         """Warm-started anytime runs over a live snapshot reproduce the runs
-        over an independently prepared dataset, on both kernels."""
+        over an independently prepared dataset, for BioConsert and its
+        scalar oracle."""
         live = LiveDataset(initial)
         apply_mutations(live, steps)
         previous = BordaCount().aggregate(live.snapshot()).consensus
         fresh = Dataset(live.rankings, name="fresh")
-        for kernel in ("arrays", "reference"):
-            algorithm = BioConsert(kernel=kernel)
+        for algorithm in (BioConsert(), BioConsertOracle()):
             from_live = run_anytime(algorithm, live.snapshot(), None, initial=previous)
             from_fresh = run_anytime(algorithm, fresh, None, initial=previous)
             assert from_live.consensus == from_fresh.consensus

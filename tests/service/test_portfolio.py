@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.algorithms import make_algorithm
 from repro.core.kemeny import generalized_kemeny_score
 from repro.generators import uniform_dataset
 from repro.service import PortfolioScheduler
+from repro.testing import FaultInjector, FaultRule, injected
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +121,61 @@ class TestBudgetedRuns:
         assert first.score == second.score
         assert first.algorithm == second.algorithm
         assert first.consensus == second.consensus
+
+
+class TestOverrunningMembers:
+    """A one-shot member cannot be interrupted, so its overrun result is
+    already paid for: it must still compete for the portfolio minimum."""
+
+    # On this dataset KwikSortMin (95) beats BordaCount (107).
+    CANDIDATES = ["BordaCount", "KwikSortMin"]
+
+    def _expected_score(self, dataset) -> int:
+        return make_algorithm("KwikSortMin", seed=1).aggregate(dataset).score
+
+    def _assert_overrun_member_wins(self, result, expected: int) -> None:
+        member = next(m for m in result.members if m.algorithm == "KwikSortMin")
+        assert member.status == "over-budget"
+        assert member.score == expected
+        assert result.algorithm == "KwikSortMin"
+        assert result.score == expected
+        borda = next(m for m in result.members if m.algorithm == "BordaCount")
+        assert borda.status == "finished" and borda.score > expected
+
+    def test_overrunning_member_with_best_score_wins(self, small_dataset, monkeypatch):
+        def make_slow(name, *, seed=None):
+            algorithm = make_algorithm(name, seed=seed)
+            if name == "KwikSortMin":
+                aggregate = algorithm._aggregate
+
+                def slow_aggregate(rankings, weights):
+                    time.sleep(0.2)
+                    return aggregate(rankings, weights)
+
+                algorithm._aggregate = slow_aggregate
+            return algorithm
+
+        monkeypatch.setattr("repro.service.portfolio.make_algorithm", make_slow)
+        scheduler = PortfolioScheduler(
+            budget_seconds=0.05, algorithms=self.CANDIDATES, include_floor=False, seed=1
+        )
+        result = scheduler.run(small_dataset)
+        self._assert_overrun_member_wins(result, self._expected_score(small_dataset))
+
+    def test_slow_fault_counts_as_member_time(self, small_dataset):
+        injector = FaultInjector(
+            rules=(
+                FaultRule(
+                    site="portfolio.member",
+                    kind="slow",
+                    match="KwikSortMin",
+                    delay_seconds=0.2,
+                ),
+            )
+        )
+        scheduler = PortfolioScheduler(
+            budget_seconds=0.05, algorithms=self.CANDIDATES, include_floor=False, seed=1
+        )
+        with injected(injector):
+            result = scheduler.run(small_dataset)
+        self._assert_overrun_member_wins(result, self._expected_score(small_dataset))

@@ -5,8 +5,8 @@ seeds, plus hypothesis sweeps for the samplers):
 
 * the BioConsert consensus score never exceeds ``trivial_upper_bound``
   (the algorithm starts from every input ranking and only accepts strictly
-  improving moves) — on both the reference and the array kernel, which must
-  also agree with each other exactly;
+  improving moves) — for BioConsert and its scalar oracle, which must also
+  agree with each other exactly;
 * aggregation is idempotent on identical-input datasets: the consensus is
   the common input ranking, at score zero;
 * the generalized Kemeny score is invariant under element relabeling.
@@ -26,21 +26,23 @@ from repro.datasets import Dataset
 from repro.generators import sample_mallows_ties_ranking
 from repro.workloads import get_scenario, scenario_names
 
+from oracles import BioConsertOracle
+
 BASE_SEEDS = (2015, 7)
-KERNELS = ("reference", "arrays")
+KERNELS = {"reference": BioConsertOracle, "arrays": BioConsert}
 
 
 def _scenario_datasets(name: str, seed: int) -> list[Dataset]:
     return get_scenario(name).build("smoke", base_seed=seed, num_datasets=1)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", list(KERNELS))
 @pytest.mark.parametrize("name", scenario_names())
 def test_consensus_score_within_trivial_upper_bound(name, kernel):
     for seed in BASE_SEEDS:
         for dataset in _scenario_datasets(name, seed):
             bound = trivial_upper_bound(dataset.rankings)
-            result = BioConsert(seed=seed, kernel=kernel).aggregate(dataset)
+            result = KERNELS[kernel](seed=seed).aggregate(dataset)
             assert result.score <= bound, (name, kernel, seed)
             # The reported score is the true generalized Kemeny score.
             assert result.score == generalized_kemeny_score(
@@ -52,13 +54,13 @@ def test_consensus_score_within_trivial_upper_bound(name, kernel):
 def test_kernels_agree_on_every_scenario(name):
     for seed in BASE_SEEDS:
         for dataset in _scenario_datasets(name, seed):
-            reference = BioConsert(seed=seed, kernel="reference").aggregate(dataset)
-            arrays = BioConsert(seed=seed, kernel="arrays").aggregate(dataset)
+            reference = BioConsertOracle(seed=seed).aggregate(dataset)
+            arrays = BioConsert(seed=seed).aggregate(dataset)
             assert reference.score == arrays.score, (name, seed)
             assert reference.consensus.canonical() == arrays.consensus.canonical()
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", list(KERNELS))
 @pytest.mark.parametrize("name", scenario_names())
 def test_idempotence_on_identical_inputs(name, kernel):
     """Aggregating m copies of one ranking returns that ranking at score 0."""
@@ -67,7 +69,7 @@ def test_idempotence_on_identical_inputs(name, kernel):
         ranking = dataset.rankings[0]
         clones = Dataset([ranking] * len(dataset), name=f"{name}-clones")
         assert trivial_upper_bound(clones.rankings) == 0
-        result = BioConsert(seed=seed, kernel=kernel).aggregate(clones)
+        result = KERNELS[kernel](seed=seed).aggregate(clones)
         assert result.score == 0, (name, kernel)
         assert result.consensus.canonical() == ranking.canonical()
 
