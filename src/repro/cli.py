@@ -1188,10 +1188,15 @@ def _run_serve_http(args: argparse.Namespace) -> int:
         return server.stats.describe()
 
     stats = asyncio.run(_serve())
+    service = stats["service"]
+    ok = sum(
+        service[source]
+        for source in ("computed", "memory_hits", "disk_hits", "coalesced")
+    )
     print(
-        f"drained — requests={stats['requests']} ok={stats['ok']} "
-        f"rejected={stats['rejected']} deadline={stats['deadline_expired']} "
-        f"failed={stats['failed']} coalesced={stats['coalesced']}"
+        f"drained — requests={stats['requests']} ok={ok} "
+        f"rejected={service['rejected']} deadline={service['deadline_misses']} "
+        f"failed={service['failed']} coalesced={service['coalesced']}"
     )
     return 0
 

@@ -5,11 +5,19 @@ socket-path HTTP layer (:mod:`repro.service.http`) must emit the *same*
 ``service.*`` instruments for the same events — a dashboard built against
 the in-process stats has to keep working unchanged when the deployment
 moves behind the network server, and rejected / deadline-expired requests
-must be countable from either side without name translation.  Every
-serving-side instrumentation site therefore imports its instrument name
-from this module instead of spelling a string literal; the regression
-suite (``tests/service/test_counter_parity.py``) drives both paths
-through the same degradation scenarios and asserts the emitted
+must be countable from either side without name translation.  The
+per-outcome ``service.*`` instruments are therefore emitted at one site,
+:func:`repro.service.frontend.record_outcome`, which every serving path
+calls once per answer: :meth:`~repro.service.ServiceFrontend.submit` for
+what a frontend answers itself (in process, in a thread-mode shard or in
+a process-mode worker), ``submit_batch`` for its followers and admission
+refusals, :class:`~repro.service.http.ShardPool` on the driver for
+cross-connection followers, ``overloaded`` refusals, failed dispatches
+and the answers process-mode workers return, and the HTTP server for
+drain-window refusals.  Every other instrumentation site imports its
+name from this module instead of spelling a string literal; the
+regression suite (``tests/service/test_counter_parity.py``) drives both
+paths through the same degradation scenarios and asserts the emitted
 ``service.*`` name sets are identical.
 
 Instrument vocabulary
@@ -20,8 +28,10 @@ Instrument vocabulary
     :data:`SERVICE_REQUESTS` (labelled by response source),
     :data:`SERVICE_REJECTED` (labelled by rejection reason —
     ``overloaded`` / ``deadline`` / ``draining``), :data:`SERVICE_FAILED`
-    and the :data:`SERVICE_QUEUE_SECONDS` /
+    (labelled by exception type) and the :data:`SERVICE_QUEUE_SECONDS` /
     :data:`SERVICE_EXECUTION_SECONDS` latency histograms.
+    :data:`SERVICE_INVALIDATED` is the one write-path instrument, ticked
+    by :meth:`~repro.service.ServiceFrontend.invalidate_dataset`.
 
 ``http.*``
     Emitted only by the socket path, *in addition to* the shared
@@ -67,7 +77,8 @@ SERVICE_REQUESTS = "service.requests"
 #: Counter: structured rejections (nothing executed), labelled ``reason=``.
 SERVICE_REJECTED = "service.rejected"
 
-#: Counter: computations that raised, labelled ``kind=`` (exception type).
+#: Counter: computations or shard dispatches that raised, labelled ``kind=``
+#: (exception type).
 SERVICE_FAILED = "service.failed"
 
 #: Counter: cached responses purged on the live-serving write path.

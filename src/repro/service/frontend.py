@@ -25,14 +25,23 @@ serving-side optimisations:
   deadlines (:attr:`ServiceRequest.deadline_seconds`) reject work whose
   answer can no longer be useful, and a failed computation becomes a
   structured ``failed`` response — propagated to its coalesced followers
-  — instead of an exception tearing the batch down.  Rejections tick the
-  ``service.rejected`` telemetry counter.
+  — instead of an exception tearing the batch down.
+
+The per-request decisions live here once, for the in-process batch path
+and the socket path (:class:`~repro.service.http.ShardPool`) alike:
+:func:`coalescing_key` says which requests share one computation,
+:meth:`ServiceFrontend.submit` applies the deadline rule,
+:func:`follower_response` and :func:`degraded_response` build the
+answers that execute nothing, and :func:`record_outcome` accounts every
+answer in a :class:`ServiceStats` registry and on the ``service.*``
+telemetry instruments.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -49,7 +58,16 @@ from ..telemetry import runtime as _telemetry
 from . import counters as _counters
 from .portfolio import PortfolioScheduler
 
-__all__ = ["ServiceRequest", "ServiceResponse", "ServiceStats", "ServiceFrontend"]
+__all__ = [
+    "ServiceRequest",
+    "ServiceResponse",
+    "ServiceStats",
+    "ServiceFrontend",
+    "coalescing_key",
+    "degraded_response",
+    "follower_response",
+    "record_outcome",
+]
 
 
 @dataclass(frozen=True)
@@ -71,9 +89,9 @@ class ServiceRequest:
         Caller-side correlation id, echoed on the response.
     deadline_seconds:
         Per-request deadline on total latency: a request whose queue wait
-        already exceeds it is answered with a structured ``deadline``
-        rejection instead of starting a computation that can no longer be
-        useful.  ``None`` waits indefinitely.
+        is strictly greater than it is answered with a structured
+        ``deadline`` rejection instead of starting a computation that can
+        no longer be useful.  ``None`` waits indefinitely.
     """
 
     dataset: Dataset
@@ -152,7 +170,7 @@ class ServiceResponse:
 
 @dataclass
 class ServiceStats:
-    """Session accounting of a :class:`ServiceFrontend`.
+    """Session accounting of a :class:`ServiceFrontend` or a serving shard.
 
     Attributes
     ----------
@@ -165,7 +183,8 @@ class ServiceStats:
     coalesced:
         Requests that shared another identical request's computation.
     rejected:
-        Requests refused by bounded admission (``overloaded``).
+        Requests refused by bounded admission (``overloaded``) or during
+        a graceful drain (``draining``).
     deadline_misses:
         Requests whose per-request deadline expired before execution.
     failed:
@@ -203,29 +222,33 @@ class ServiceStats:
             return 0.0
         return (self.cache_hits + self.coalesced) / self.requests
 
-    def record(self, response: ServiceResponse) -> None:
-        """Account one response.
+    def record(self, outcome: ServiceResponse | Mapping[str, Any]) -> None:
+        """Account one answer in the session counters (no telemetry).
 
         Parameters
         ----------
-        response:
-            The response to fold into the session counters.
+        outcome:
+            The response, or its wire payload
+            (:func:`~repro.service.http.protocol.response_payload`): the
+            socket path accounts payloads without rebuilding responses.
         """
+        fields = _outcome_fields(outcome)
+        status, source = fields["status"], fields["source"]
         self.requests += 1
-        self.latencies.append(response.latency_seconds)
-        self.queue_waits.append(response.queue_seconds)
-        self.execution_times.append(response.execution_seconds)
-        if response.status in ("overloaded", "draining"):
+        self.latencies.append(fields["latency_seconds"])
+        self.queue_waits.append(fields["queue_seconds"])
+        self.execution_times.append(fields["execution_seconds"])
+        if status in ("overloaded", "draining"):
             self.rejected += 1
-        elif response.status == "deadline":
+        elif status == "deadline":
             self.deadline_misses += 1
-        elif response.status == "failed":
+        elif status == "failed":
             self.failed += 1
-        elif response.source == "memory":
+        elif source == "memory":
             self.memory_hits += 1
-        elif response.source == "disk":
+        elif source == "disk":
             self.disk_hits += 1
-        elif response.source == "coalesced":
+        elif source == "coalesced":
             self.coalesced += 1
         else:
             self.computed += 1
@@ -263,6 +286,154 @@ class ServiceStats:
             "execution_mean_seconds": _mean(self.execution_times),
             "execution_max_seconds": max(self.execution_times, default=0.0),
         }
+
+
+def _outcome_fields(outcome: ServiceResponse | Mapping[str, Any]) -> Mapping[str, Any]:
+    """A response's fields by name — the keys its wire payload uses too."""
+    return vars(outcome) if isinstance(outcome, ServiceResponse) else outcome
+
+
+def record_outcome(
+    stats: ServiceStats, outcome: ServiceResponse | Mapping[str, Any]
+) -> None:
+    """Account one answer in a registry and on the ``service.*`` instruments.
+
+    The one accounting path of the serving layer: every answer a frontend
+    or shard gives — computed, cache hit, coalesced follower, refusal or
+    failure — passes here exactly once.  Refusals (source ``rejected``)
+    also tick ``service.rejected`` by status and failed computations
+    (source ``error``) ``service.failed`` by exception type.
+
+    Parameters
+    ----------
+    stats:
+        The session registry to fold the answer into.
+    outcome:
+        The response, or its wire payload.
+    """
+    stats.record(outcome)
+    if not _telemetry.is_enabled():
+        return
+    fields = _outcome_fields(outcome)
+    source = fields["source"]
+    if source == "rejected":
+        _telemetry.count(_counters.SERVICE_REJECTED, reason=fields["status"])
+    elif source == "error":
+        kind = str(fields["error"]).split(":", 1)[0]
+        _telemetry.count(_counters.SERVICE_FAILED, kind=kind)
+    _telemetry.count(_counters.SERVICE_REQUESTS, source=source)
+    _telemetry.observe(
+        _counters.SERVICE_QUEUE_SECONDS, fields["queue_seconds"], source=source
+    )
+    _telemetry.observe(
+        _counters.SERVICE_EXECUTION_SECONDS,
+        fields["execution_seconds"],
+        source=source,
+    )
+
+
+def _budget(request: ServiceRequest, default: float | None) -> float | None:
+    """The request's compute budget, ``default`` when it carries none."""
+    return default if request.budget_seconds is None else request.budget_seconds
+
+
+def coalescing_key(
+    request: ServiceRequest, default_budget_seconds: float | None
+) -> tuple[Any, ...]:
+    """Identity of the computation a request asks for.
+
+    Two requests with equal keys have the same cached answer, so one
+    computation serves both: content fingerprint (memoized on the
+    dataset, so no new pass over it), budget with the default filled in,
+    priority, pinned algorithm and dataset generation (the ``generation``
+    metadata entry :class:`~repro.core.live.LiveDataset` snapshots carry,
+    ``None`` otherwise — two snapshots that collide on content but
+    straddle a mutation never share one computation).
+
+    Parameters
+    ----------
+    request:
+        The request to key.
+    default_budget_seconds:
+        The serving frontend's budget for requests that carry none.
+    """
+    return (
+        request.dataset.content_fingerprint(),
+        _budget(request, default_budget_seconds),
+        Priority(request.priority).value,
+        request.algorithm,
+        request.dataset.metadata.get("generation"),
+    )
+
+
+def degraded_response(
+    request_id: str | None,
+    *,
+    status: str,
+    error: str,
+    queue_seconds: float = 0.0,
+    execution_seconds: float = 0.0,
+) -> ServiceResponse:
+    """A structured answer without a consensus.
+
+    ``status="failed"`` (the computation raised) reports source
+    ``error``; every other status (``overloaded`` / ``deadline`` /
+    ``draining``) is a refusal that executed nothing and reports source
+    ``rejected``.
+
+    Parameters
+    ----------
+    request_id:
+        Correlation id of the request being answered (``None`` when the
+        body never got far enough to carry one).
+    status:
+        Degradation status.
+    error:
+        Human-readable detail; for failures ``"<ExceptionType>: <message>"``.
+    queue_seconds:
+        Wait the request accumulated before the answer.
+    execution_seconds:
+        Time spent executing before the failure (zero for refusals).
+    """
+    return ServiceResponse(
+        request_id=request_id,
+        consensus=None,
+        score=None,
+        algorithm="",
+        source="error" if status == "failed" else "rejected",
+        latency_seconds=queue_seconds + execution_seconds,
+        queue_seconds=queue_seconds,
+        execution_seconds=execution_seconds,
+        status=status,
+        error=error,
+    )
+
+
+def follower_response(
+    request_id: str | None, leader: ServiceResponse, waited: float
+) -> ServiceResponse:
+    """A coalesced follower's answer: its leader's, under its own identity.
+
+    The follower shares the leader's consensus, score, status and error;
+    it executed nothing, so its whole latency is the wait for the leader.
+
+    Parameters
+    ----------
+    request_id:
+        The follower's own correlation id.
+    leader:
+        The answer of the computation it shared.
+    waited:
+        Time from the follower's arrival until the leader's answer.
+    """
+    return replace(
+        leader,
+        request_id=request_id,
+        source="coalesced",
+        latency_seconds=waited,
+        queue_seconds=waited,
+        execution_seconds=0.0,
+    )
 
 
 class ServiceFrontend:
@@ -314,13 +485,15 @@ class ServiceFrontend:
     def submit(
         self, request: ServiceRequest, *, queue_seconds: float = 0.0
     ) -> ServiceResponse:
-        """Answer one request (cache lookup, then compute + store).
+        """Answer one request: deadline check, cache lookup, compute + store.
 
         A direct submission never queues on its own: by default its
         ``queue_seconds`` is zero and its latency is pure execution time.
-        A caller that *did* queue the request elsewhere first (the HTTP
-        shard dispatch of :mod:`repro.service.http`) passes the wait it
-        already accumulated so the response's latency split stays honest.
+        A caller that *did* queue the request first (:meth:`submit_batch`,
+        the HTTP shard dispatch of :mod:`repro.service.http`) passes the
+        wait it already accumulated, so the response's latency split stays
+        honest — and a request whose wait is strictly greater than its
+        ``deadline_seconds`` is answered ``deadline`` without executing.
 
         Parameters
         ----------
@@ -330,76 +503,30 @@ class ServiceFrontend:
             Wait the request accumulated before this call (folded into
             the response's ``queue_seconds`` and total latency).
         """
-        dataset, key, fingerprint = self._prepare(request)
-        response = self._answer(
-            request, dataset, key, fingerprint, queue_seconds=queue_seconds
-        )
-        self._stats.record(response)
+        deadline = request.deadline_seconds
+        if deadline is not None and queue_seconds > deadline:
+            response = degraded_response(
+                request.request_id,
+                status="deadline",
+                error=(
+                    f"deadline {deadline}s expired after "
+                    f"{queue_seconds:.3f}s in queue"
+                ),
+                queue_seconds=queue_seconds,
+            )
+        else:
+            response = self._answer(request, queue_seconds=queue_seconds)
+        record_outcome(self._stats, response)
         return response
-
-    def reject(
-        self,
-        request: ServiceRequest,
-        *,
-        status: str,
-        error: str,
-        queue_seconds: float = 0.0,
-    ) -> ServiceResponse:
-        """Refuse one request with a structured degraded response.
-
-        The one rejection path shared by every serving surface: the HTTP
-        shard dispatch calls it for bounded-admission (``overloaded``),
-        expired-deadline (``deadline``) and drain-window (``draining``)
-        refusals, so socket-path rejections land in the *same* session
-        registry (:meth:`stats` / :meth:`describe`) and tick the same
-        telemetry counters as in-process ones.
-
-        Parameters
-        ----------
-        request:
-            The request being refused.
-        status:
-            Degradation status (``overloaded`` / ``deadline`` /
-            ``draining``).
-        error:
-            Human-readable refusal detail carried on the response.
-        queue_seconds:
-            Wait the request accumulated before being refused.
-        """
-        response = self._degraded_response(
-            request, status=status, error=error, queue_seconds=queue_seconds
-        )
-        self._stats.record(response)
-        return response
-
-    def account(self, response: ServiceResponse) -> None:
-        """Fold an externally produced response into the session registry.
-
-        The socket path answers coalesced followers without re-entering
-        :meth:`submit` (they share their leader's computation); it calls
-        this so those responses still count in :meth:`stats` /
-        :meth:`describe` and on the shared latency histograms, keeping
-        in-process and socket-path accounting identical.
-
-        Parameters
-        ----------
-        response:
-            The response to record (not re-answered, only accounted).
-        """
-        self._stats.record(response)
-        self._observe_response(response)
 
     def submit_batch(self, requests: list[ServiceRequest]) -> list[ServiceResponse]:
         """Answer a batch, coalescing identical requests.
 
-        Requests sharing a cache key (same dataset fingerprint, same
-        parameters) *and* the same dataset generation are computed once;
-        the first request of each group is accounted normally and the
-        others as ``coalesced``.  Responses come back in submission order.
-        The generation (the ``generation`` metadata entry
-        :class:`~repro.core.live.LiveDataset` snapshots carry; ``None``
-        for ordinary datasets) keeps two snapshots that collide on content
-        fingerprint but straddle a mutation from sharing one computation.
+        Requests with the same :func:`coalescing_key` (same dataset
+        content and generation, same parameters) are computed once; the
+        first request of each group is answered through :meth:`submit`
+        and the others as ``coalesced``.  Responses come back in
+        submission order.
 
         Every response separates queue wait from execution: a group
         leader's ``queue_seconds`` is the time it spent behind earlier
@@ -421,109 +548,45 @@ class ServiceFrontend:
             The batch, answered in submission order.
         """
         batch_start = time.perf_counter()
-        responses: dict[int, ServiceResponse] = {}
-        admitted = requests
-        if self.max_queue is not None and len(requests) > self.max_queue:
-            admitted = requests[: self.max_queue]
-            for index in range(self.max_queue, len(requests)):
-                rejection = self._degraded_response(
-                    requests[index],
-                    status="overloaded",
-                    error=(
-                        f"admission queue full "
-                        f"({self.max_queue} of {len(requests)} requests admitted)"
-                    ),
-                    queue_seconds=0.0,
-                )
-                responses[index] = rejection
-                self._stats.record(rejection)
-
-        groups: dict[tuple[str, Any], list[int]] = {}
-        prepared: list[tuple[ServiceRequest, Dataset, str, str]] = []
-        for index, request in enumerate(admitted):
-            dataset, key, fingerprint = self._prepare(request)
-            prepared.append((request, dataset, key, fingerprint))
-            # Coalesce on (cache key, dataset generation): snapshots of a
-            # LiveDataset carry their mutation generation in metadata, so a
-            # pre-mutation request never shares a post-mutation computation.
-            groups.setdefault((key, dataset.metadata.get("generation")), []).append(
-                index
+        admitted = len(requests)
+        if self.max_queue is not None:
+            admitted = min(admitted, self.max_queue)
+        refusals: list[ServiceResponse] = []
+        for request in requests[admitted:]:
+            rejection = degraded_response(
+                request.request_id,
+                status="overloaded",
+                error=(
+                    f"admission queue full "
+                    f"({self.max_queue} of {len(requests)} requests admitted)"
+                ),
             )
+            record_outcome(self._stats, rejection)
+            refusals.append(rejection)
 
-        for (key, _generation), indices in groups.items():
+        groups: dict[tuple[Any, ...], list[int]] = {}
+        for index, request in enumerate(requests[:admitted]):
+            key = coalescing_key(request, self.default_budget_seconds)
+            groups.setdefault(key, []).append(index)
+
+        answers: dict[int, ServiceResponse] = {}
+        for indices in groups.values():
             queue_wait = time.perf_counter() - batch_start
-            leader: ServiceResponse | None = None
-            leader_position = 0
             for position, index in enumerate(indices):
-                request, dataset, _, fingerprint = prepared[index]
-                deadline = request.deadline_seconds
-                if deadline is not None and queue_wait >= deadline:
-                    rejection = self._degraded_response(
-                        request,
-                        status="deadline",
-                        error=(
-                            f"deadline {deadline}s expired after "
-                            f"{queue_wait:.3f}s in queue"
-                        ),
-                        queue_seconds=queue_wait,
-                    )
-                    responses[index] = rejection
-                    self._stats.record(rejection)
-                    continue
-                leader = self._answer(
-                    request, dataset, key, fingerprint, queue_seconds=queue_wait
-                )
-                leader_position = position
-                responses[index] = leader
-                self._stats.record(leader)
-                break
-            if leader is None:
+                leader = self.submit(requests[index], queue_seconds=queue_wait)
+                answers[index] = leader
+                if leader.status != "deadline":
+                    break
+            else:
                 continue  # every request of the group missed its deadline
             follower_wait = time.perf_counter() - batch_start
-            for follower_index in indices[leader_position + 1 :]:
-                follower_request = prepared[follower_index][0]
-                follower = ServiceResponse(
-                    request_id=follower_request.request_id,
-                    consensus=leader.consensus,
-                    score=leader.score,
-                    algorithm=leader.algorithm,
-                    source="coalesced",
-                    latency_seconds=follower_wait,
-                    queue_seconds=follower_wait,
-                    execution_seconds=0.0,
-                    status=leader.status,
-                    error=leader.error,
+            for index in indices[position + 1 :]:
+                follower = follower_response(
+                    requests[index].request_id, leader, follower_wait
                 )
-                responses[follower_index] = follower
-                self._stats.record(follower)
-                self._observe_response(follower)
-        return [responses[index] for index in range(len(requests))]
-
-    def _degraded_response(
-        self,
-        request: ServiceRequest,
-        *,
-        status: str,
-        error: str,
-        queue_seconds: float,
-    ) -> ServiceResponse:
-        """Structured rejection (nothing executed), ticking ``service.rejected``."""
-        response = ServiceResponse(
-            request_id=request.request_id,
-            consensus=None,
-            score=None,
-            algorithm="",
-            source="rejected",
-            latency_seconds=queue_seconds,
-            queue_seconds=queue_seconds,
-            execution_seconds=0.0,
-            status=status,
-            error=error,
-        )
-        if _telemetry.is_enabled():
-            _telemetry.count(_counters.SERVICE_REJECTED, reason=status)
-        self._observe_response(response)
-        return response
+                record_outcome(self._stats, follower)
+                answers[index] = follower
+        return [answers[index] for index in range(admitted)] + refusals
 
     # ------------------------------------------------------------------ #
     # Invalidation
@@ -584,11 +647,7 @@ class ServiceFrontend:
         """Normalize the request's dataset; compute its cache key and
         content fingerprint."""
         dataset = ensure_complete(request.dataset, None)
-        budget = (
-            self.default_budget_seconds
-            if request.budget_seconds is None
-            else request.budget_seconds
-        )
+        budget = _budget(request, self.default_budget_seconds)
         name = request.algorithm or f"portfolio[{Priority(request.priority).value}]"
         fingerprint = dataset_fingerprint(dataset)
         key = run_key(
@@ -605,20 +664,16 @@ class ServiceFrontend:
         return dataset, key, fingerprint
 
     def _answer(
-        self,
-        request: ServiceRequest,
-        dataset: Dataset,
-        key: str,
-        fingerprint: str,
-        *,
-        queue_seconds: float = 0.0,
+        self, request: ServiceRequest, *, queue_seconds: float
     ) -> ServiceResponse:
-        """The one lookup/compute/store path behind submit and submit_batch.
+        """The one lookup/compute/store path behind :meth:`submit`.
 
         ``queue_seconds`` is how long the request already waited before
-        this call; the time spent *inside* it becomes the response's
-        ``execution_seconds`` and the reported latency is their sum.
+        this call; the time spent looking up or computing becomes the
+        response's ``execution_seconds`` and the reported latency is their
+        sum.
         """
+        dataset, key, fingerprint = self._prepare(request)
         with _telemetry.span("service.request", dataset=dataset.name) as request_span:
             start = time.perf_counter()
             record, source = self._cache_lookup(key)
@@ -634,22 +689,12 @@ class ServiceFrontend:
                 try:
                     consensus, score, algorithm = self._compute(request, dataset)
                 except Exception as error:  # noqa: BLE001 — degrade, don't abort
-                    execution = time.perf_counter() - start
-                    if _telemetry.is_enabled():
-                        _telemetry.count(
-                            _counters.SERVICE_FAILED, kind=type(error).__name__
-                        )
-                    response = ServiceResponse(
-                        request_id=request.request_id,
-                        consensus=None,
-                        score=None,
-                        algorithm="",
-                        source="error",
-                        latency_seconds=queue_seconds + execution,
-                        queue_seconds=queue_seconds,
-                        execution_seconds=execution,
+                    response = degraded_response(
+                        request.request_id,
                         status="failed",
                         error=f"{type(error).__name__}: {error}",
+                        queue_seconds=queue_seconds,
+                        execution_seconds=time.perf_counter() - start,
                     )
                 else:
                     self._cache_store(key, consensus, score, algorithm, fingerprint)
@@ -666,25 +711,7 @@ class ServiceFrontend:
                     )
             if _telemetry.is_enabled():
                 request_span.set(source=response.source, algorithm=response.algorithm)
-            self._observe_response(response)
         return response
-
-    @staticmethod
-    def _observe_response(response: ServiceResponse) -> None:
-        """Record one response's queue/execution split on the histograms."""
-        if not _telemetry.is_enabled():
-            return
-        _telemetry.count(_counters.SERVICE_REQUESTS, source=response.source)
-        _telemetry.observe(
-            _counters.SERVICE_QUEUE_SECONDS,
-            response.queue_seconds,
-            source=response.source,
-        )
-        _telemetry.observe(
-            _counters.SERVICE_EXECUTION_SECONDS,
-            response.execution_seconds,
-            source=response.source,
-        )
 
     def _cache_lookup(self, key: str) -> tuple[dict[str, Any] | None, str]:
         """Look ``key`` up, reporting which tier served it."""
@@ -752,11 +779,7 @@ class ServiceFrontend:
         branch through the scheduler's shared plan — one O(m·n²) build per
         computed request, however many candidates end up racing.
         """
-        budget = (
-            self.default_budget_seconds
-            if request.budget_seconds is None
-            else request.budget_seconds
-        )
+        budget = _budget(request, self.default_budget_seconds)
         if request.algorithm is not None:
             algorithm = make_algorithm(request.algorithm, seed=self.seed)
             if supports_anytime(algorithm) and budget is not None:

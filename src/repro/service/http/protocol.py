@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields as dataclass_fields
 from typing import Any
 
+from ...core.ranking import Ranking
 from ...datasets.dataset import Dataset
 from ...datasets.io import dumps as dataset_dumps, loads as dataset_loads
 from ...evaluation.guidance import Priority
@@ -40,8 +42,7 @@ __all__ = [
     "encode_aggregate_request",
     "decode_aggregate_request",
     "response_payload",
-    "coalesced_payload",
-    "rejection_payload",
+    "decode_response_payload",
     "result_fingerprint",
     "status_code_for",
 ]
@@ -224,77 +225,24 @@ def response_payload(
     return payload
 
 
-def coalesced_payload(
-    leader: dict[str, Any], *, request_id: str | None, latency_seconds: float
-) -> dict[str, Any]:
-    """A coalesced follower's payload, derived from its leader's.
+def decode_response_payload(payload: dict[str, Any]) -> ServiceResponse:
+    """Rebuild the ServiceResponse behind one wire payload.
 
-    The follower shares the leader's answer (consensus, score, status,
-    error) but reports its own identity and wait: the full latency is
-    queue time and nothing executed — exactly how
-    :meth:`~repro.service.frontend.ServiceFrontend.submit_batch` accounts
-    in-process followers.
+    The inverse of :func:`response_payload` (the ``shard`` entry is
+    dropped).  The shard pool uses it to answer coalesced followers from
+    their leader's payload.
 
     Parameters
     ----------
-    leader:
-        The leader's wire payload.
-    request_id:
-        The follower's own correlation id.
-    latency_seconds:
-        Time the follower waited for the shared answer.
+    payload:
+        A response wire payload.
     """
-    follower = dict(leader)
-    follower["request_id"] = request_id
-    follower["source"] = "coalesced"
-    follower["latency_seconds"] = latency_seconds
-    follower["queue_seconds"] = latency_seconds
-    follower["execution_seconds"] = 0.0
-    return follower
-
-
-def rejection_payload(
-    *,
-    status: str,
-    error: str,
-    request_id: str | None = None,
-    queue_seconds: float = 0.0,
-    shard: str | None = None,
-) -> dict[str, Any]:
-    """A structured degraded payload built without a ServiceResponse.
-
-    Used where no shard frontend is reachable to produce one — malformed
-    bodies, process-mode admission refusals, the drain window.
-
-    Parameters
-    ----------
-    status:
-        Degradation status (``overloaded`` / ``deadline`` / ``draining``
-        / ``too_large`` / ``failed``).
-    error:
-        Human-readable refusal detail.
-    request_id:
-        Correlation id when the body got far enough to carry one.
-    queue_seconds:
-        Wait accumulated before the refusal.
-    shard:
-        Owning shard when routing already happened.
-    """
-    payload: dict[str, Any] = {
-        "request_id": request_id,
-        "status": status,
-        "source": "rejected",
-        "algorithm": "",
-        "score": None,
-        "consensus": None,
-        "latency_seconds": queue_seconds,
-        "queue_seconds": queue_seconds,
-        "execution_seconds": 0.0,
-        "error": error,
+    fields = {
+        item.name: payload[item.name] for item in dataclass_fields(ServiceResponse)
     }
-    if shard is not None:
-        payload["shard"] = shard
-    return payload
+    if fields["consensus"] is not None:
+        fields["consensus"] = Ranking(fields["consensus"])
+    return ServiceResponse(**fields)
 
 
 def result_fingerprint(payload: dict[str, Any]) -> str:

@@ -48,12 +48,17 @@ from ...core.live import LiveDataset
 from ...datasets.io import loads as dataset_loads, parse_ranking
 from ...telemetry import runtime as _telemetry
 from .. import counters as _counters
-from ..frontend import ServiceFrontend
+from ..frontend import (
+    ServiceFrontend,
+    ServiceStats,
+    degraded_response,
+    record_outcome,
+)
 from ..live import LiveAggregationSession
 from .protocol import (
     AggregateRequestError,
     decode_aggregate_request,
-    rejection_payload,
+    response_payload,
     status_code_for,
 )
 from .worker import ShardPool, ShardRejection
@@ -80,85 +85,42 @@ class _BodyTooLarge(Exception):
 class HttpServerStats:
     """Socket-path accounting of one :class:`HttpAggregationServer`.
 
-    Counts *HTTP-layer* outcomes; per-shard service accounting (cache
-    tiers, latency splits) lives in each shard frontend's own
-    :class:`~repro.service.frontend.ServiceStats` and is surfaced side by
-    side under ``GET /stats``.
+    ``/aggregate`` outcomes are classified by one
+    :class:`~repro.service.frontend.ServiceStats` across all shards (each
+    shard's own registry is surfaced side by side under ``GET /stats``);
+    the other fields count what only the HTTP layer sees.
 
     Attributes
     ----------
     requests:
         HTTP requests answered (any route, any status).
-    ok:
-        ``/aggregate`` requests answered ``ok``.
-    rejected:
-        ``/aggregate`` requests refused by admission control or the
-        drain window (``overloaded`` + ``draining``).
-    deadline_expired:
-        ``/aggregate`` requests whose deadline lapsed in a shard queue.
-    failed:
-        ``/aggregate`` requests whose computation raised.
-    coalesced:
-        ``/aggregate`` requests that shared another connection's
-        in-flight computation.
     bad_requests:
         Bodies refused as unparsable (HTTP 400).
     too_large:
         Bodies refused for exceeding :data:`MAX_BODY_BYTES` (HTTP 413).
     live_requests:
         Requests handled by the ``/live`` session endpoints.
-    by_source:
-        ``/aggregate`` answers tallied by response source
-        (``computed`` / ``memory`` / ``disk`` / ``coalesced`` /
-        ``rejected``).
+    service:
+        Every ``/aggregate`` answer, drain-window refusals included.  An
+        answer the pool gave is only recorded here, with
+        :meth:`~repro.service.frontend.ServiceStats.record`: its shard
+        registry and the ``service.*`` instruments have it already.
     """
 
     requests: int = 0
-    ok: int = 0
-    rejected: int = 0
-    deadline_expired: int = 0
-    failed: int = 0
-    coalesced: int = 0
     bad_requests: int = 0
     too_large: int = 0
     live_requests: int = 0
-    by_source: dict[str, int] = field(default_factory=dict)
-
-    def record_aggregate(self, payload: dict[str, Any]) -> None:
-        """Tally one ``/aggregate`` response payload.
-
-        Parameters
-        ----------
-        payload:
-            The wire payload that was (or is about to be) written.
-        """
-        status = str(payload.get("status") or "ok")
-        source = str(payload.get("source") or "computed")
-        if status == "ok":
-            self.ok += 1
-        elif status in ("overloaded", "draining"):
-            self.rejected += 1
-        elif status == "deadline":
-            self.deadline_expired += 1
-        else:
-            self.failed += 1
-        if source == "coalesced":
-            self.coalesced += 1
-        self.by_source[source] = self.by_source.get(source, 0) + 1
+    service: ServiceStats = field(default_factory=ServiceStats)
 
     def describe(self) -> dict[str, Any]:
         """Flat dictionary form (``GET /stats``, benchmark payloads)."""
         return {
             "requests": self.requests,
-            "ok": self.ok,
-            "rejected": self.rejected,
-            "deadline_expired": self.deadline_expired,
-            "failed": self.failed,
-            "coalesced": self.coalesced,
             "bad_requests": self.bad_requests,
             "too_large": self.too_large,
             "live_requests": self.live_requests,
-            "by_source": dict(self.by_source),
+            "service": self.service.describe(),
         }
 
 
@@ -453,7 +415,11 @@ class HttpAggregationServer:
                     await self._write_response(
                         writer,
                         status_code_for("too_large"),
-                        rejection_payload(status="too_large", error=str(error)),
+                        response_payload(
+                            degraded_response(
+                                None, status="too_large", error=str(error)
+                            )
+                        ),
                         keep_alive=False,
                     )
                     break
@@ -589,7 +555,6 @@ class HttpAggregationServer:
                 return await self._handle_live(method, path, body)
             return 404, {"error": f"no route for {method} {path}"}
         except Exception as error:  # noqa: BLE001 — never tear the loop down
-            self.stats.failed += 1
             return 500, {
                 "status": "failed",
                 "error": f"{type(error).__name__}: {error}",
@@ -632,30 +597,27 @@ class HttpAggregationServer:
             self.stats.bad_requests += 1
             return 400, {"status": "invalid", "error": str(error)}
         if self._draining:
-            payload = rejection_payload(
+            refusal = degraded_response(
+                request.request_id,
                 status="draining",
                 error="server is draining; retry against another worker",
-                request_id=request.request_id,
             )
-            if _telemetry.is_enabled():
-                _telemetry.count(_counters.SERVICE_REJECTED, reason="draining")
-            self.stats.record_aggregate(payload)
-            return status_code_for("draining"), payload
+            # No shard saw this refusal: account it here, instruments too.
+            record_outcome(self.stats.service, refusal)
+            return status_code_for("draining"), response_payload(refusal)
         try:
             payload, _shard = await self.pool.submit(request, wire=wire)
         except ShardRejection as rejection:
-            payload = rejection_payload(
-                status=rejection.status,
-                error=rejection.error,
-                request_id=request.request_id,
+            refusal = degraded_response(
+                request.request_id, status=rejection.status, error=rejection.error
             )
             if _telemetry.is_enabled():
                 _telemetry.count(
                     _counters.HTTP_REJECTED, reason=rejection.status
                 )
-            self.stats.record_aggregate(payload)
-            return status_code_for(rejection.status), payload
-        self.stats.record_aggregate(payload)
+            self.stats.service.record(refusal)
+            return status_code_for(rejection.status), response_payload(refusal)
+        self.stats.service.record(payload)
         return status_code_for(str(payload.get("status") or "ok")), payload
 
     # ------------------------------------------------------------------ #
@@ -672,8 +634,8 @@ class HttpAggregationServer:
         action = segments[2] if len(segments) > 2 else None
         self.stats.live_requests += 1
         if self._draining:
-            return 503, rejection_payload(
-                status="draining", error="server is draining"
+            return 503, response_payload(
+                degraded_response(None, status="draining", error="server is draining")
             )
         try:
             wire = self._decode_body(body)

@@ -16,22 +16,29 @@ for one dataset lands on the shard whose memory tier is warm for it.
 Two execution modes share one dispatch path:
 
 * ``mode="thread"`` (default) — shards are single-thread executors over
-  in-process frontends.  Cheap, fully introspectable, and every
-  rejection/answer is recorded in the shard frontend's own session
-  registry (the counter-parity contract with the in-process API).
+  in-process frontends.  Cheap and fully introspectable.
 * ``mode="process"`` — shards are single-worker process pools; each
   worker process lazily builds its shard's frontend on first use and
   keeps it for the pool's lifetime.  Real CPU parallelism across shards
   for compute-bound traffic, at the price of shipping request payloads
   across the process boundary.
 
-Graceful degradation reuses the PR 7 vocabulary end to end: bounded
-admission (``max_pending`` per shard) answers excess load with
-structured ``overloaded`` payloads before anything executes, a request
-whose ``deadline_seconds`` elapsed while queued inside its shard is
-answered ``deadline``, and identical concurrent requests — *across
-connections*, not just within one batch — coalesce onto a single
-computation, followers reporting ``source="coalesced"``.
+The per-request decisions are the in-process ones of
+:mod:`repro.service.frontend`: identical concurrent requests — *across
+connections*, not just within one batch — share one computation when
+their :func:`~repro.service.frontend.coalescing_key` matches, followers
+reporting ``source="coalesced"``; a request whose ``deadline_seconds``
+elapsed while queued inside its shard is answered ``deadline`` by
+:meth:`~repro.service.frontend.ServiceFrontend.submit` itself.  The pool
+adds bounded admission (``max_pending`` per shard), which answers excess
+load with structured ``overloaded`` refusals before anything executes.
+
+Each shard has one accounting registry (a
+:class:`~repro.service.frontend.ServiceStats`), reported by ``GET
+/stats``: in thread mode the shard frontend's own; in process mode one on
+the driver, fed with every payload the worker returns.  Followers,
+refusals and failed dispatches are recorded into it the same way in both
+modes, through :func:`~repro.service.frontend.record_outcome`.
 
 **Failover** (process mode): a worker process that dies — SIGKILL, OOM,
 an injected ``shard.worker`` crash — surfaces driver-side as a
@@ -60,16 +67,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ...core.ranking import Ranking
 from ...telemetry import runtime as _telemetry
 from ...testing import faults as _faults
 from .. import counters as _counters
-from ..frontend import ServiceFrontend, ServiceRequest, ServiceResponse
+from ..frontend import (
+    ServiceFrontend,
+    ServiceRequest,
+    ServiceStats,
+    coalescing_key,
+    degraded_response,
+    follower_response,
+    record_outcome,
+)
 from .hashring import ConsistentHashRing
 from .protocol import (
     decode_aggregate_request,
+    decode_response_payload,
     encode_aggregate_request,
-    rejection_payload,
     response_payload,
 )
 
@@ -120,15 +134,14 @@ class _Shard:
     name: str
     executor: Executor
     frontend: ServiceFrontend | None  # thread mode only
+    stats: ServiceStats  # the shard's registry: the frontend's own in thread mode
     pending: int = 0
     routed: int = 0
-    coalesced: int = 0
-    rejected: int = 0
     pid: int | None = None  # worker process id (process mode, post warm-up)
     dead: bool = False  # ejected from the live ring, awaiting respawn
     ejections: int = 0
     respawns: int = 0
-    inflight: dict[str, "asyncio.Future[dict[str, Any]]"] = field(
+    inflight: dict[tuple[Any, ...], "asyncio.Future[dict[str, Any]]"] = field(
         default_factory=dict
     )
 
@@ -161,48 +174,34 @@ def _process_frontend(config: dict[str, Any]) -> ServiceFrontend:
 def _answer_with(
     frontend: ServiceFrontend,
     request: ServiceRequest,
-    deadline_at: float | None,
     enqueued_wall: float,
     shard: str,
 ) -> dict[str, Any]:
-    """Deadline check + submit, on the shard's own executor thread/process.
+    """Submit with the wait so far, on the shard's own executor.
 
-    Wall-clock (not monotonic) deadlines on purpose: the enqueue stamp
-    and the check may happen in different processes.
+    Wall-clock (not monotonic) stamps on purpose: the enqueue stamp and
+    the dequeue may happen in different processes.
     """
     queue_seconds = max(0.0, time.time() - enqueued_wall)
-    if deadline_at is not None and time.time() >= deadline_at:
-        response = frontend.reject(
-            request,
-            status="deadline",
-            error=(
-                f"deadline expired after {queue_seconds:.3f}s in the "
-                f"{shard} queue"
-            ),
-            queue_seconds=queue_seconds,
-        )
-    else:
-        response = frontend.submit(request, queue_seconds=queue_seconds)
+    response = frontend.submit(request, queue_seconds=queue_seconds)
     return response_payload(response, shard=shard)
 
 
 def _thread_answer(
     frontend: ServiceFrontend,
     request: ServiceRequest,
-    deadline_at: float | None,
     enqueued_wall: float,
     shard: str,
     attempt: int = 0,
 ) -> dict[str, Any]:
     """Thread-mode executor entry point."""
     _faults.maybe_fire("shard.worker", key=shard, attempt=attempt)
-    return _answer_with(frontend, request, deadline_at, enqueued_wall, shard)
+    return _answer_with(frontend, request, enqueued_wall, shard)
 
 
 def _process_answer(
     config: dict[str, Any],
     wire: dict[str, Any],
-    deadline_at: float | None,
     enqueued_wall: float,
     attempt: int = 0,
 ) -> dict[str, Any]:
@@ -215,9 +214,7 @@ def _process_answer(
     _faults.maybe_fire("shard.worker", key=config["shard"], attempt=attempt)
     frontend = _process_frontend(config)
     request = decode_aggregate_request(wire)
-    return _answer_with(
-        frontend, request, deadline_at, enqueued_wall, config["shard"]
-    )
+    return _answer_with(frontend, request, enqueued_wall, config["shard"])
 
 
 def _process_describe(config: dict[str, Any]) -> dict[str, Any]:
@@ -309,10 +306,12 @@ class ShardPool:
                     seed=seed,
                     memory_entries=memory_entries,
                 )
+                stats = frontend.stats()
             else:
                 executor = ProcessPoolExecutor(max_workers=1)
                 frontend = None
-            self._shards[name] = _Shard(name, executor, frontend)
+                stats = ServiceStats()
+            self._shards[name] = _Shard(name, executor, frontend, stats)
         # Routing happens on the *live* ring: the full ring minus ejected
         # shards.  They are the same object until a worker dies.
         self._live_ring = self.ring
@@ -399,14 +398,16 @@ class ShardPool:
         The single dispatch path behind ``POST /aggregate``:
 
         1. route by the dataset's content fingerprint;
-        2. coalesce — an identical request already in flight on the shard
-           (same fingerprint + parameters) makes this one a follower that
-           awaits the leader's answer and reports ``coalesced``;
+        2. coalesce — a request with the same
+           :func:`~repro.service.frontend.coalescing_key` already in
+           flight on the shard makes this one a follower that awaits the
+           leader's answer and reports ``coalesced``;
         3. admit — a shard at ``max_pending`` leaders refuses with a
-           structured ``overloaded`` payload (raised as
+           structured ``overloaded`` answer (raised as
            :class:`ShardRejection` for the server to answer);
-        4. execute on the shard's single-worker executor, checking the
-           request's deadline right before computing;
+        4. execute through the shard frontend's
+           :meth:`~repro.service.frontend.ServiceFrontend.submit`, which
+           checks the request's deadline against its queue wait;
         5. fail over — a worker process that dies mid-request
            (``BrokenProcessPool``) is ejected from the live ring and the
            request retries on the ring successor; the dead worker
@@ -425,35 +426,31 @@ class ShardPool:
         shard.routed += 1
         if _telemetry.is_enabled():
             _telemetry.count(_counters.HTTP_SHARD_ROUTE, shard=shard.name)
-        key = self._coalesce_key(request, fingerprint)
+        key = coalescing_key(request, self.default_budget_seconds)
         arrived = time.perf_counter()
-        while True:
-            existing = shard.inflight.get(key)
-            if existing is None:
-                break
+        while (existing := shard.inflight.get(key)) is not None:
             leader = await asyncio.shield(existing)
-            if leader.get("status") == "deadline":
+            if leader["status"] == "deadline":
                 # The leader died waiting on its own deadline; promote
-                # this follower to leader (mirrors submit_batch).
+                # this follower to leader (as submit_batch does).
                 continue
-            waited = time.perf_counter() - arrived
-            shard.coalesced += 1
-            response = self._follower_response(request, leader, waited)
-            self._account(shard, response)
-            return response_payload(response, shard=shard.name), shard.name
+            follower = follower_response(
+                request.request_id,
+                decode_response_payload(leader),
+                time.perf_counter() - arrived,
+            )
+            record_outcome(shard.stats, follower)
+            return response_payload(follower, shard=shard.name), shard.name
 
         if shard.pending >= self.max_pending:
-            shard.rejected += 1
             error = (
                 f"{shard.name} admission queue full "
                 f"({shard.pending} pending, max_pending={self.max_pending})"
             )
-            if shard.frontend is not None:
-                shard.frontend.reject(
-                    request, status="overloaded", error=error
-                )
-            elif _telemetry.is_enabled():
-                _telemetry.count(_counters.SERVICE_REJECTED, reason="overloaded")
+            refusal = degraded_response(
+                request.request_id, status="overloaded", error=error
+            )
+            record_outcome(shard.stats, refusal)
             raise ShardRejection("overloaded", error)
 
         loop = asyncio.get_running_loop()
@@ -465,18 +462,17 @@ class ShardPool:
         shard.pending += 1
         shard.inflight[key] = future
         enqueued_wall = time.time()
-        deadline_at = (
-            None
-            if request.deadline_seconds is None
-            else enqueued_wall + request.deadline_seconds
-        )
         attempt = 0
         try:
             while True:
                 try:
                     payload = await self._dispatch(
-                        shard, request, wire, deadline_at, enqueued_wall, attempt
+                        shard, request, wire, enqueued_wall, attempt
                     )
+                    if shard.frontend is None:
+                        # The worker process recorded the answer in a
+                        # registry the driver cannot read; record it here.
+                        record_outcome(shard.stats, payload)
                     break
                 except BrokenProcessPool:
                     # The worker died under this request (SIGKILL, OOM, an
@@ -485,14 +481,11 @@ class ShardPool:
                     self._eject(shard)
                     attempt += 1
                     if not self._live_ring.shards or attempt > len(self._shards):
-                        payload = rejection_payload(
-                            status="failed",
-                            error=(
-                                f"worker of {shard.name} died and no live "
-                                "shard remains to fail over to"
-                            ),
-                            request_id=request.request_id,
-                            shard=shard.name,
+                        payload = self._fail(
+                            shard,
+                            request,
+                            f"BrokenProcessPool: worker of {shard.name} died "
+                            "and no live shard remains to fail over to",
                         )
                         break
                     shard.pending -= 1
@@ -507,15 +500,8 @@ class ShardPool:
                         shard.inflight[key] = future
                         registered.append(shard)
                 except Exception as error:  # noqa: BLE001 — degrade, don't tear down
-                    if _telemetry.is_enabled():
-                        _telemetry.count(
-                            _counters.SERVICE_FAILED, kind=type(error).__name__
-                        )
-                    payload = rejection_payload(
-                        status="failed",
-                        error=f"{type(error).__name__}: {error}",
-                        request_id=request.request_id,
-                        shard=shard.name,
+                    payload = self._fail(
+                        shard, request, f"{type(error).__name__}: {error}"
                     )
                     break
         finally:
@@ -524,19 +510,22 @@ class ShardPool:
                 if owner.inflight.get(key) is future:
                     del owner.inflight[key]
             future.set_result(payload)
-        if self.mode == "process":
-            # The worker-process frontend recorded the response in its own
-            # registry; mirror the shared telemetry instruments driver-side
-            # so one scrape sees the whole topology.
-            self._observe_payload(payload)
         return payload, shard.name
+
+    @staticmethod
+    def _fail(shard: _Shard, request: ServiceRequest, error: str) -> dict[str, Any]:
+        """Answer a dispatch that raised: a ``failed`` payload, recorded."""
+        response = degraded_response(
+            request.request_id, status="failed", error=error
+        )
+        record_outcome(shard.stats, response)
+        return response_payload(response, shard=shard.name)
 
     async def _dispatch(
         self,
         shard: _Shard,
         request: ServiceRequest,
         wire: dict[str, Any] | None,
-        deadline_at: float | None,
         enqueued_wall: float,
         attempt: int,
     ) -> dict[str, Any]:
@@ -548,7 +537,6 @@ class ShardPool:
                 _thread_answer,
                 shard.frontend,
                 request,
-                deadline_at,
                 enqueued_wall,
                 shard.name,
                 attempt,
@@ -563,10 +551,10 @@ class ShardPool:
                 request.dataset,
                 priority=request.priority,
                 budget_seconds=request.budget_seconds,
+                deadline_seconds=request.deadline_seconds,
                 algorithm=request.algorithm,
                 request_id=request.request_id,
             ),
-            deadline_at,
             enqueued_wall,
             attempt,
         )
@@ -669,14 +657,16 @@ class ShardPool:
 
     # ------------------------------------------------------------------ #
     async def describe(self) -> dict[str, Any]:
-        """Pool topology + per-shard routing counters + frontend stats."""
+        """Pool topology, per-shard routing counters and accounting.
+
+        Each shard's ``frontend`` entry is its one registry (see the
+        module docstring) plus its cache tiers' statistics.
+        """
         loop = asyncio.get_running_loop()
         shards: dict[str, Any] = {}
         for shard in self._shards.values():
             entry: dict[str, Any] = {
                 "routed": shard.routed,
-                "coalesced": shard.coalesced,
-                "rejected": shard.rejected,
                 "pending": shard.pending,
                 "pid": shard.pid,
                 "dead": shard.dead,
@@ -689,11 +679,13 @@ class ShardPool:
                 entry["frontend"] = shard.frontend.describe()
             else:
                 try:
-                    entry["frontend"] = await loop.run_in_executor(
+                    worker = await loop.run_in_executor(
                         shard.executor,
                         _process_describe,
                         self._config(shard.name),
                     )
+                    # The worker's cache tiers, the driver's registry.
+                    entry["frontend"] = {**worker, **shard.stats.describe()}
                 except BrokenProcessPool:
                     # Stats discovered the death before a request did.
                     self._eject(shard)
@@ -728,78 +720,6 @@ class ShardPool:
             "seed": self.seed,
             "memory_entries": self.memory_entries,
         }
-
-    @staticmethod
-    def _coalesce_key(request: ServiceRequest, fingerprint: str) -> str:
-        """Identity of one computation: content + parameters.
-
-        Matches the grouping :meth:`ServiceFrontend.submit_batch` uses —
-        two requests coalesce only when their cached answer would too.
-        """
-        return (
-            f"{fingerprint}|{request.algorithm}|{request.priority}"
-            f"|{request.budget_seconds}"
-        )
-
-    @staticmethod
-    def _follower_response(
-        request: ServiceRequest, leader: dict[str, Any], waited: float
-    ) -> ServiceResponse:
-        """The follower's ServiceResponse derived from its leader's payload."""
-        consensus = leader.get("consensus")
-        score = leader.get("score")
-        return ServiceResponse(
-            request_id=request.request_id,
-            consensus=None if consensus is None else Ranking(consensus),
-            score=None if score is None else int(score),
-            algorithm=str(leader.get("algorithm") or ""),
-            source="coalesced",
-            latency_seconds=waited,
-            queue_seconds=waited,
-            execution_seconds=0.0,
-            status=str(leader.get("status") or "ok"),
-            error=leader.get("error"),
-        )
-
-    def _account(self, shard: _Shard, response: ServiceResponse) -> None:
-        """Record a follower response in the shard's registry (mode-aware)."""
-        if shard.frontend is not None:
-            shard.frontend.account(response)
-        elif _telemetry.is_enabled():
-            _telemetry.count(
-                _counters.SERVICE_REQUESTS, source=response.source
-            )
-            _telemetry.observe(
-                _counters.SERVICE_QUEUE_SECONDS,
-                response.queue_seconds,
-                source=response.source,
-            )
-            _telemetry.observe(
-                _counters.SERVICE_EXECUTION_SECONDS,
-                response.execution_seconds,
-                source=response.source,
-            )
-
-    @staticmethod
-    def _observe_payload(payload: dict[str, Any]) -> None:
-        """Driver-side mirror of the shared instruments (process mode)."""
-        if not _telemetry.is_enabled():
-            return
-        source = str(payload.get("source") or "computed")
-        status = str(payload.get("status") or "ok")
-        if status in ("overloaded", "deadline", "draining"):
-            _telemetry.count(_counters.SERVICE_REJECTED, reason=status)
-        _telemetry.count(_counters.SERVICE_REQUESTS, source=source)
-        _telemetry.observe(
-            _counters.SERVICE_QUEUE_SECONDS,
-            float(payload.get("queue_seconds") or 0.0),
-            source=source,
-        )
-        _telemetry.observe(
-            _counters.SERVICE_EXECUTION_SECONDS,
-            float(payload.get("execution_seconds") or 0.0),
-            source=source,
-        )
 
     def __repr__(self) -> str:
         return (

@@ -66,12 +66,15 @@ def test_http_layer_records_into_the_same_service_instruments(tmp_path):
 
     with runtime.session() as inprocess:
         frontend = ServiceFrontend(
-            str(tmp_path / "inproc"), default_budget_seconds=0.05, seed=11
+            str(tmp_path / "inproc"),
+            default_budget_seconds=0.05,
+            seed=11,
+            max_queue=1,
         )
-        frontend.submit(ServiceRequest(dataset))
-        frontend.reject(
-            ServiceRequest(other), status="overloaded", error="queue full"
+        answered, refused = frontend.submit_batch(
+            [ServiceRequest(dataset), ServiceRequest(other)]
         )
+        assert answered.status == "ok" and refused.status == "overloaded"
         inprocess_names = _service_instruments(inprocess)
     runtime.disable()
 

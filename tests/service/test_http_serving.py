@@ -22,6 +22,7 @@ import pytest
 from repro.datasets.io import dumps, format_ranking
 from repro.generators import uniform_dataset
 from repro.service.http import AsyncHttpClient, HttpAggregationServer
+from repro.testing.faults import ENV_VAR, FaultInjector, FaultRule
 
 
 def _slow_down(server: HttpAggregationServer, shard: str, delay: float) -> None:
@@ -98,6 +99,58 @@ def test_identical_requests_coalesce_across_connections(tmp_path):
     asyncio.run(scenario())
 
 
+def test_omitted_budget_coalesces_with_the_explicit_default(tmp_path):
+    # Both requests have the same cache key (the pool fills in its default
+    # budget), so they must share one computation too.
+    async def scenario():
+        server, leader_client = await _start(tmp_path, shards=1)
+        follower_client = AsyncHttpClient(server.host, server.port)
+        try:
+            _slow_down(server, "shard-0", 0.3)
+            dataset = uniform_dataset(4, 6, 8)
+            leader_task = asyncio.create_task(leader_client.aggregate(dataset))
+            await asyncio.sleep(0.05)
+            code, follower = await follower_client.aggregate(
+                dataset, budget_seconds=server.default_budget_seconds
+            )
+            leader_code, leader = await leader_task
+            assert leader_code == code == 200
+            assert leader["source"] == "computed"
+            assert follower["source"] == "coalesced"
+            assert follower["consensus"] == leader["consensus"]
+        finally:
+            await leader_client.close()
+            await follower_client.close()
+            await server.drain()
+
+    asyncio.run(scenario())
+
+
+def test_failed_dispatch_answers_500_with_source_error(tmp_path, monkeypatch):
+    injector = FaultInjector(
+        seed=5, rules=(FaultRule(site="shard.worker", kind="exception"),)
+    )
+    monkeypatch.setenv(ENV_VAR, injector.to_env())
+
+    async def scenario():
+        server, client = await _start(tmp_path, shards=1)
+        try:
+            code, payload = await client.aggregate(uniform_dataset(4, 6, 9))
+            assert code == 500
+            assert payload["status"] == "failed"
+            assert payload["source"] == "error"
+            assert payload["consensus"] is None
+            assert payload["error"].startswith("TransientRunError:")
+            stats = server.pool.frontend_of("shard-0").describe()
+            assert stats["failed"] == 1
+            assert server.stats.service.failed == 1
+        finally:
+            await client.close()
+            await server.drain()
+
+    asyncio.run(scenario())
+
+
 def test_deadline_expires_in_shard_queue(tmp_path):
     async def scenario():
         server, blocker_client = await _start(tmp_path, shards=1)
@@ -124,7 +177,7 @@ def test_deadline_expires_in_shard_queue(tmp_path):
                 server.pool.frontend_of("shard-0").describe()["deadline_misses"]
                 == 1
             )
-            assert server.stats.deadline_expired == 1
+            assert server.stats.service.deadline_misses == 1
         finally:
             await blocker_client.close()
             await late_client.close()
@@ -150,7 +203,7 @@ def test_full_queue_answers_structured_overloaded(tmp_path):
             assert "max_pending=1" in payload["error"]
             blocker_code, _ = await blocker_task
             assert blocker_code == 200
-            assert server.stats.rejected == 1
+            assert server.stats.service.rejected == 1
             assert server.pool.frontend_of("shard-0").describe()["rejected"] == 1
         finally:
             await blocker_client.close()
@@ -242,7 +295,7 @@ def test_graceful_drain_completes_inflight_requests(tmp_path):
             assert payload["consensus"] is not None
             await drain_task
             assert server.draining
-            assert server.stats.rejected == 1
+            assert server.stats.service.rejected == 1
         finally:
             await slow_client.close()
             await bystander.close()

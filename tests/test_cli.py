@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import threading
+import time
+import urllib.request
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -244,6 +249,38 @@ class TestServeCommand:
              "--budget", "0.1", "--no-cache", "--seed", "3"]
         ) == 0
         assert "by source:" in capsys.readouterr().out
+
+
+class TestServeHttpCommand:
+    def test_drains_after_max_requests_and_prints_counts(self, tmp_path, capsys):
+        port_file = tmp_path / "port"
+        answers = []
+
+        def client():
+            for _ in range(500):
+                if port_file.exists() and port_file.read_text().endswith("\n"):
+                    break
+                time.sleep(0.01)
+            body = json.dumps(
+                {"dataset": dumps(uniform_dataset(4, 6, 1), include_header=False)}
+            ).encode()
+            url = f"http://127.0.0.1:{int(port_file.read_text())}/aggregate"
+            with urllib.request.urlopen(url, data=body, timeout=30) as response:
+                answers.append(json.load(response))
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        code = main(
+            ["serve-http", "--port", "0", "--port-file", str(port_file),
+             "--shards", "1", "--max-requests", "1", "--budget", "0.05",
+             "--cache-dir", str(tmp_path / "cache")]
+        )
+        thread.join()
+        assert code == 0
+        assert answers and answers[0]["status"] == "ok"
+        output = capsys.readouterr().out
+        assert "drained — requests=1 ok=1 rejected=0" in output
+        assert not port_file.exists()
 
 
 class TestScenarioRunFailures:
