@@ -18,10 +18,18 @@ Exercises the two performance contracts of the live-dataset layer
   cold run's final generalized Kemeny score in at most **50 %** of the
   cold run's wall-clock.  The benchmark steps both controllers explicitly
   and records the time-to-target.
+* **invalidation** — each acknowledged write purges the cached answers of
+  the old content with ``ResultCache.invalidate(dataset_fingerprint=...)``.
+  The benchmark invalidates one fingerprint holding 3 records in disk
+  tiers that also hold 20 and then 2,000 unrelated records, timing the
+  call and counting the record files it opens.  Through the cache's
+  dataset index it must open exactly the 3 matching records at both sizes
+  — a deterministic count, not a timing ceiling.
 
 Results are written to a machine-readable ``BENCH_live.json`` (path
-overridable through ``REPRO_BENCH_LIVE_JSON``); both floors are embedded
-in the payload and asserted at every scale.
+overridable through ``REPRO_BENCH_LIVE_JSON``); the floors and the
+expected open count are embedded in the payload and asserted at every
+scale.
 
 Run with::
 
@@ -36,6 +44,8 @@ from __future__ import annotations
 import json
 import os
 import statistics
+import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,8 +56,12 @@ from repro.algorithms import BioConsert
 from repro.algorithms.anytime import run_anytime
 from repro.core import LiveDataset, prepare_rankings
 from repro.core.kemeny import generalized_kemeny_score_from_weights
+from repro.engine import ResultCache
 from repro.experiments.report import format_table
 from repro.generators import uniform_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import count_record_opens  # noqa: E402
 
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_live.json"
 
@@ -57,6 +71,11 @@ _DELTA_SPEEDUP_FLOOR = 10.0
 # Warm repair must reach the cold final score within this fraction of the
 # cold run's wall-clock.
 _WARM_FRACTION_CEILING = 0.5
+
+# Invalidating one fingerprint opens only its own records, however many
+# unrelated records share the disk tier.
+_INVALIDATION_TARGET_RECORDS = 3
+_INVALIDATION_UNRELATED_RECORDS = (20, 2000)
 
 
 @dataclass(frozen=True)
@@ -167,6 +186,43 @@ def _measure_warm_repair(live: LiveDataset, profile: LiveBenchProfile) -> dict:
     }
 
 
+def _cache_record(fingerprint: str, score: int) -> dict:
+    """A record shaped like the ones the serving frontend stores."""
+    return {
+        "kind": "algorithm",
+        "algorithm": "BordaCount",
+        "dataset_name": fingerprint,
+        "dataset_fingerprint": fingerprint,
+        "score": score,
+        "elapsed_seconds": 0.001,
+        "within_budget": True,
+        "error": None,
+    }
+
+
+def _measure_invalidation() -> dict:
+    """Time one fingerprint invalidation beside few and many unrelated records."""
+    sizes = []
+    with tempfile.TemporaryDirectory(prefix="bench-live-cache-") as workdir:
+        for unrelated in _INVALIDATION_UNRELATED_RECORDS:
+            cache = ResultCache(Path(workdir) / f"cache-{unrelated}")
+            for index in range(unrelated):
+                cache.store(f"{index:06d}-other", _cache_record(f"other-{index}", index))
+            for index in range(_INVALIDATION_TARGET_RECORDS):
+                cache.store(f"{index:06d}-target", _cache_record("target", index))
+            with count_record_opens(cache.directory) as opened:
+                start = time.perf_counter()
+                removed = cache.invalidate(dataset_fingerprint="target")
+                seconds = time.perf_counter() - start
+            sizes.append({
+                "unrelated_records": unrelated,
+                "removed": removed,
+                "seconds": seconds,
+                "records_opened": opened[0],
+            })
+    return {"target_records": _INVALIDATION_TARGET_RECORDS, "sizes": sizes}
+
+
 def run_live_benchmark(scale_name: str, seed: int = 2015) -> dict:
     """Run both phases at ``scale_name`` and assemble the asserted payload."""
     try:
@@ -183,6 +239,7 @@ def run_live_benchmark(scale_name: str, seed: int = 2015) -> dict:
     )
     delta = _measure_deltas(LiveDataset(base.rankings, name="live-delta"), profile)
     warm = _measure_warm_repair(LiveDataset(base.rankings, name="live-warm"), profile)
+    invalidation = _measure_invalidation()
 
     assert delta["weights_match_rebuild"], (
         "delta-maintained planes diverged from the from-scratch rebuild"
@@ -201,6 +258,13 @@ def run_live_benchmark(scale_name: str, seed: int = 2015) -> dict:
         f"{warm['fraction_of_cold']:.2%} of the cold run's "
         f"{warm['cold_wall_seconds']:.4f}s (> {_WARM_FRACTION_CEILING:.0%})"
     )
+    for size in invalidation["sizes"]:
+        assert size["removed"] == _INVALIDATION_TARGET_RECORDS, size
+        assert size["records_opened"] == _INVALIDATION_TARGET_RECORDS, (
+            f"fingerprint invalidation opened {size['records_opened']} records "
+            f"beside {size['unrelated_records']} unrelated ones "
+            f"(expected {_INVALIDATION_TARGET_RECORDS})"
+        )
 
     return {
         "benchmark": "live-updates",
@@ -210,6 +274,7 @@ def run_live_benchmark(scale_name: str, seed: int = 2015) -> dict:
         "delta_speedup_floor": _DELTA_SPEEDUP_FLOOR,
         "warm_repair": warm,
         "warm_fraction_ceiling": _WARM_FRACTION_CEILING,
+        "invalidation": invalidation,
     }
 
 
@@ -244,6 +309,17 @@ def _print_payload(payload: dict) -> None:
             f"{payload['warm_fraction_ceiling']:.0%})",
         },
     ]
+    invalidation = payload["invalidation"]
+    for size in invalidation["sizes"]:
+        rows.append({
+            "phase": "invalidation",
+            "work": f"{invalidation['target_records']} of "
+            f"{invalidation['target_records'] + size['unrelated_records']} records",
+            "time": f"{1000.0 * size['seconds']:.3f} ms",
+            "versus": f"{size['unrelated_records']} unrelated",
+            "verdict": f"opened {size['records_opened']} "
+            f"(want {invalidation['target_records']})",
+        })
     profile = payload["profile"]
     print(
         format_table(

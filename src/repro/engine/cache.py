@@ -8,10 +8,40 @@ the library version.  Re-running an experiment therefore re-executes
 nothing: every (algorithm, dataset) pair resolves to a cache hit, and the
 engine rebuilds the report from the stored scores.
 
-The cache is deliberately dumb — no locking, no eviction.  Records are
-written atomically (write-to-temp + rename) so concurrent workers can share
-a cache directory; the worst case of a race is the same record being
+There is no locking and no eviction.  Records are written atomically
+(write-to-temp + rename), so concurrent workers and processes can share a
+cache directory; the worst case of a race is the same record being
 written twice with identical content.
+
+**Dataset index.**  Live serving purges every record of one dataset on
+each acknowledged write, so :meth:`ResultCache.invalidate` with a
+``dataset_fingerprint`` must not open every record.  Next to the records
+lives an index from dataset fingerprint to record keys: one empty marker
+file ``<cache_dir>/by-dataset/<h[:2]>/<h>/<key>`` per record, where ``h``
+is the sha256 hex digest of the record's ``dataset_fingerprint`` string
+(so any fingerprint is a safe path component).  Markers carry no
+``.json`` suffix and sit one level deeper than records, so the record glob
+never sees them.  The index stays correct under concurrent writers:
+
+* ``store`` writes the marker *before* the atomic record rename, so a
+  crash in between leaves a harmless dangling marker, never a record the
+  index does not know.  After the rename it checks the marker again and
+  recreates it if a concurrent invalidation removed it.
+* ``invalidate(dataset_fingerprint=...)`` lists only that fingerprint's
+  marker directory and re-reads each record before unlinking it, applying
+  the same filters as a full scan, so a stale marker never deletes a
+  record that does not match.  The record is unlinked before its marker;
+  a dropped marker is restored if a concurrent store has re-written a
+  matching record meanwhile.  Invalidation by ``algorithm`` alone, or with
+  no criterion, keeps the full scan.
+* A directory without ``by-dataset/FORMAT`` (written before the index
+  existed, or interrupted mid-``clear``) is indexed by one full scan when
+  a :class:`ResultCache` opens it; ``FORMAT`` is written last.
+
+A writer of the index-less layout sharing a directory *concurrently* with
+this one is not supported: its records get no marker, so fingerprint
+invalidation by this version does not see them until the directory is
+re-indexed.
 
 It is self-healing: a lookup that finds an unparseable or structurally
 invalid record **quarantines** the file (renamed to ``*.corrupt-*``, which
@@ -22,11 +52,12 @@ reports a miss so the engine recomputes and re-stores a good record.  The
 garble a just-written record deterministically to exercise exactly that
 path.
 """
-
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import shutil
 import tempfile
 import time
 from collections.abc import Iterator
@@ -38,6 +69,11 @@ from ..telemetry import runtime as _telemetry
 from ..testing import faults as _faults
 
 __all__ = ["CacheStats", "ResultCache"]
+
+# The dataset index: ``<cache_dir>/by-dataset/<h[:2]>/<h>/<key>`` markers,
+# complete once ``by-dataset/FORMAT`` exists.
+_INDEX_DIR = "by-dataset"
+_INDEX_FORMAT = "FORMAT"
 
 
 @dataclass(frozen=True)
@@ -94,9 +130,12 @@ class ResultCache:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._index = self.directory / _INDEX_DIR
         self._hits = 0
         self._misses = 0
         self._corrupt = 0
+        if not (self._index / _INDEX_FORMAT).exists():
+            self._build_index()
 
     # ------------------------------------------------------------------ #
     # Lookup / store
@@ -145,12 +184,16 @@ class ResultCache:
             pass
 
     def store(self, key: str, record: dict[str, Any]) -> None:
-        """Persist ``record`` under ``key`` (atomic write)."""
+        """Persist ``record`` under ``key`` (atomic write, indexed first)."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = dict(record)
         payload.setdefault("key", key)
         payload.setdefault("created_at", time.time())
+        fingerprint = payload.get("dataset_fingerprint")
+        marker = (
+            self._mark(fingerprint, key) if isinstance(fingerprint, str) else None
+        )
         descriptor, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=".tmp-", suffix=".json"
         )
@@ -164,6 +207,9 @@ class ResultCache:
             except OSError:
                 pass
             raise
+        if marker is not None and not marker.exists():
+            # A concurrent invalidation dropped the marker before the rename.
+            self._mark(fingerprint, key)
         # Fault-injection site "cache.store": a ``corrupt`` rule garbles the
         # just-written record, simulating disk corruption deterministically.
         rule = _faults.maybe_decide("cache.store", key)
@@ -208,6 +254,8 @@ class ResultCache:
         """
         if algorithm is None and dataset_fingerprint is None:
             return self.clear()
+        if isinstance(dataset_fingerprint, str):
+            return self._invalidate_indexed(dataset_fingerprint, algorithm)
         removed = 0
         for path in list(self._record_paths()):
             try:
@@ -227,11 +275,86 @@ class ResultCache:
         return removed
 
     def clear(self) -> int:
-        """Remove every record; return the number removed."""
+        """Remove every record and index marker; return the records removed.
+
+        The markers go before the records, so a record that a concurrent
+        store renames in after the records are listed keeps its marker:
+        that store re-checks the marker after its rename.  ``FORMAT`` is
+        dropped first and written back last, so an interrupted clear is
+        re-indexed on the next open.
+        """
+        (self._index / _INDEX_FORMAT).unlink(missing_ok=True)
+        shutil.rmtree(self._index, ignore_errors=True)
         removed = 0
         for path in list(self._record_paths()):
             path.unlink(missing_ok=True)
             removed += 1
+        self._write_format()
+        return removed
+
+    # ------------------------------------------------------------------ #
+    # Dataset index
+    # ------------------------------------------------------------------ #
+    def _marker_dir(self, fingerprint: str) -> Path:
+        digest = hashlib.sha256(
+            fingerprint.encode("utf-8", "surrogatepass")
+        ).hexdigest()
+        return self._index / digest[:2] / digest
+
+    def _mark(self, fingerprint: str, key: str) -> Path:
+        """Create the (empty) marker of ``key`` under ``fingerprint``."""
+        marker = self._marker_dir(fingerprint) / key
+        while True:
+            try:
+                os.close(os.open(marker, os.O_WRONLY | os.O_CREAT, 0o644))
+                return marker
+            except FileNotFoundError:
+                # First marker of this fingerprint, or a concurrent
+                # invalidation just removed the emptied directory.
+                marker.parent.mkdir(parents=True, exist_ok=True)
+
+    def _write_format(self) -> None:
+        self._index.mkdir(exist_ok=True)
+        (self._index / _INDEX_FORMAT).write_text("1\n", encoding="utf-8")
+
+    def _build_index(self) -> None:
+        """Index a directory that has no complete index: one full scan."""
+        for path in self._record_paths():
+            record = _read_record(path)
+            fingerprint = None if record is None else record.get("dataset_fingerprint")
+            if isinstance(fingerprint, str):
+                self._mark(fingerprint, path.name[: -len(".json")])
+        self._write_format()
+
+    def _invalidate_indexed(self, fingerprint: str, algorithm: str | None) -> int:
+        """Fingerprint invalidation that opens only the indexed records."""
+        marker_dir = self._marker_dir(fingerprint)
+        try:
+            keys = sorted(os.listdir(marker_dir))
+        except FileNotFoundError:
+            return 0
+        removed = 0
+        for key in keys:
+            path = self._path(key)
+            record = _read_record(path)
+            if record is not None and record.get("dataset_fingerprint") == fingerprint:
+                if algorithm is not None and record.get("algorithm") != algorithm:
+                    continue
+                path.unlink(missing_ok=True)
+                removed += 1
+            # Matched and removed, or a stale marker: the record is missing,
+            # unreadable, or re-stored under another fingerprint.
+            (marker_dir / key).unlink(missing_ok=True)
+            if path.exists():
+                # A concurrent store may have re-written a matching record
+                # after the read above, seeing the marker still in place.
+                record = _read_record(path)
+                if record is not None and record.get("dataset_fingerprint") == fingerprint:
+                    self._mark(fingerprint, key)
+        try:
+            marker_dir.rmdir()
+        except OSError:
+            pass  # still holds markers (kept records, or concurrent stores)
         return removed
 
     def stats(self) -> CacheStats:
@@ -255,3 +378,13 @@ class ResultCache:
 
     def __repr__(self) -> str:
         return f"ResultCache(directory={str(self.directory)!r})"
+
+
+def _read_record(path: Path) -> dict[str, Any] | None:
+    """Parse one record file; ``None`` when missing, unreadable or not an object."""
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            record = json.load(handle)
+    except (OSError, json.JSONDecodeError):
+        return None
+    return record if isinstance(record, dict) else None

@@ -10,7 +10,8 @@ in-memory LRU tier (:class:`MemoryCacheTier`) in front of the disk store:
   it falls through to the disk tier and *promotes* the record into memory;
 * a store writes through to both tiers, so a warm process never touches
   the disk for reads while other processes still see every record;
-* invalidation and clearing propagate to both tiers.
+* invalidation and clearing propagate to both tiers; a filtered
+  invalidation drops only the memory records that match the filter.
 
 Both tiers and the combined cache expose the same duck-typed contract the
 :class:`~repro.engine.engine.ExecutionEngine` consumes (``lookup`` /
@@ -75,6 +76,26 @@ class MemoryCacheTier:
     def invalidate(self, key: str) -> bool:
         """Drop one record; return whether it was present."""
         return self._records.pop(key, None) is not None
+
+    def invalidate_matching(
+        self,
+        *,
+        algorithm: str | None = None,
+        dataset_fingerprint: str | None = None,
+    ) -> int:
+        """Drop the records whose fields match every given filter; return the count."""
+        doomed = [
+            key
+            for key, record in self._records.items()
+            if (algorithm is None or record.get("algorithm") == algorithm)
+            and (
+                dataset_fingerprint is None
+                or record.get("dataset_fingerprint") == dataset_fingerprint
+            )
+        ]
+        for key in doomed:
+            del self._records[key]
+        return len(doomed)
 
     def clear(self) -> int:
         """Drop every record; return the number removed."""
@@ -229,14 +250,16 @@ class TieredResultCache:
     ) -> int:
         """Remove matching records from both tiers; return the disk count.
 
-        The memory tier holds copies of disk records, so it is cleared
-        wholesale on a filtered invalidation (records matching the filter
-        cannot be identified without re-reading the disk).
+        The memory tier holds copies of disk records, which carry their
+        ``algorithm`` and ``dataset_fingerprint`` fields, so only the
+        memory records matching the filter are dropped; the rest stay warm.
         """
         removed = self.disk.invalidate(
             algorithm=algorithm, dataset_fingerprint=dataset_fingerprint
         )
-        self.memory.clear()
+        self.memory.invalidate_matching(
+            algorithm=algorithm, dataset_fingerprint=dataset_fingerprint
+        )
         return removed
 
     def clear(self) -> int:

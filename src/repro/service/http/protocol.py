@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import fields as dataclass_fields
 from typing import Any
 
@@ -178,17 +179,25 @@ def decode_aggregate_request(payload: dict[str, Any]) -> ServiceRequest:
 
 
 def _optional_positive(payload: dict[str, Any], field: str) -> float | None:
-    """Read an optional strictly-positive float field or raise a 400 error."""
+    """Read an optional strictly-positive float field or raise a 400 error.
+
+    ``json`` parses ``NaN`` and ``±Infinity`` and ``float(True) == 1.0``,
+    so non-finite values and booleans are refused explicitly: a NaN
+    deadline never expires, and a NaN budget never equals itself, which
+    would keep identical requests from coalescing.
+    """
     value = payload.get(field)
     if value is None:
         return None
     try:
-        value = float(value)
+        number = float(value)
     except (TypeError, ValueError) as error:
         raise AggregateRequestError(f"{field!r} must be a number") from error
-    if value <= 0:
-        raise AggregateRequestError(f"{field!r} must be > 0, got {value}")
-    return value
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise AggregateRequestError(f"{field!r} must be a finite number, got {value}")
+    if number <= 0:
+        raise AggregateRequestError(f"{field!r} must be > 0, got {number}")
+    return number
 
 
 def response_payload(

@@ -10,11 +10,15 @@ random datasets with ties.
 An oracle class subclasses its library class and overrides the one private
 method that computes the result, so configuration, naming, seeding and the
 reported details stay those of the library class.
+
+:mod:`oracles.cache` holds the same kind of reference for the result
+cache: invalidation by a scan of every record.
 """
 
 from .ailon import AilonThreeHalvesOracle
 from .bioconsert import BioConsertOracle
 from .borda import BordaCountOracle, borda_scores
+from .cache import ScanInvalidateOracle, count_record_opens
 from .chanas import ChanasBothOracle, ChanasOracle
 from .copeland import CopelandMethodOracle, copeland_scores
 from .distances import (
@@ -39,8 +43,10 @@ __all__ = [
     "MEDRankOracle",
     "PickAPermOracle",
     "RepeatChoiceOracle",
+    "ScanInvalidateOracle",
     "borda_scores",
     "copeland_scores",
+    "count_record_opens",
     "generalized_kendall_tau_distance_reference",
     "pairwise_distance_matrix_reference",
 ]

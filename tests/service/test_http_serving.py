@@ -344,6 +344,36 @@ def test_malformed_bodies_answer_structured_400(tmp_path):
     asyncio.run(scenario())
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("budget_seconds", float("nan")),
+        ("budget_seconds", float("inf")),
+        ("deadline_seconds", float("nan")),
+        ("budget_seconds", True),
+    ],
+    ids=["budget-nan", "budget-infinity", "deadline-nan", "budget-true"],
+)
+def test_non_finite_and_boolean_numbers_answer_400(tmp_path, field, value):
+    # json emits NaN/Infinity literals, which Python's json also parses.
+    async def scenario():
+        server, client = await _start(tmp_path, shards=1)
+        try:
+            code, payload = await client.request(
+                "POST", "/aggregate", {"dataset": "[[A],[B]]", field: value}
+            )
+            assert code == 400
+            assert payload["status"] == "invalid"
+            assert field in payload["error"]
+            assert "must be a finite number" in payload["error"]
+            assert server.stats.bad_requests == 1
+        finally:
+            await client.close()
+            await server.drain()
+
+    asyncio.run(scenario())
+
+
 def test_oversized_body_answers_structured_413(tmp_path):
     async def scenario():
         server, client = await _start(tmp_path)
