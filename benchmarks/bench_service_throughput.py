@@ -1,9 +1,9 @@
 """SERVICE — request throughput and cold/warm latency of the serving layer.
 
-Replays a Zipf-skewed request stream (see
-:mod:`repro.workloads.service_load`) through the
-:class:`~repro.service.ServiceFrontend` three times over the same cache
-directory:
+Replays a Zipf-skewed load schedule (see :mod:`repro.workloads.http_load`)
+through the :class:`~repro.service.ServiceFrontend` with
+:func:`~repro.workloads.run_inprocess_load` three times over the same
+cache directory:
 
 * **cold**  — empty cache: every distinct dataset is computed (portfolio
   race under the per-request budget), repeats are coalesced or served by
@@ -34,14 +34,16 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import statistics
 import tempfile
-import time
 from pathlib import Path
 
 from repro.experiments.report import format_table
 from repro.service import ServiceFrontend
-from repro.workloads import ServiceLoadProfile, build_service_requests
+from repro.workloads import (
+    HttpLoadProfile,
+    build_http_schedule,
+    run_inprocess_load,
+)
 
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_service.json"
 
@@ -49,23 +51,23 @@ _DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_service.json"
 _WARM_SPEEDUP_FLOOR = 10.0
 
 _PROFILES = {
-    "smoke": ServiceLoadProfile(
+    "smoke": HttpLoadProfile(
         scenarios=("mallows-ties-diffuse", "markov-similarity"),
         scale="smoke",
         num_requests=40,
         budget_seconds=0.25,
-        batch_size=8,
+        concurrency=8,
         seed=2015,
     ),
-    "default": ServiceLoadProfile(
+    "default": HttpLoadProfile(
         scenarios=("mallows-ties-diffuse", "markov-similarity", "uniform-ties"),
         scale="default",
         num_requests=200,
         budget_seconds=0.5,
-        batch_size=16,
+        concurrency=16,
         seed=2015,
     ),
-    "paper": ServiceLoadProfile(
+    "paper": HttpLoadProfile(
         scenarios=(
             "mallows-ties-diffuse",
             "markov-similarity",
@@ -75,31 +77,23 @@ _PROFILES = {
         scale="default",
         num_requests=1000,
         budget_seconds=0.5,
-        batch_size=32,
+        concurrency=32,
         seed=2015,
     ),
 }
 
 
-def _replay(frontend: ServiceFrontend, requests, batch_size: int) -> dict:
-    """Replay the stream and return per-phase latency/source statistics."""
-    latencies: list[float] = []
-    sources: dict[str, int] = {}
-    start = time.perf_counter()
-    for begin in range(0, len(requests), batch_size):
-        batch = requests[begin : begin + batch_size]
-        for response in frontend.submit_batch(batch):
-            latencies.append(response.latency_seconds)
-            sources[response.source] = sources.get(response.source, 0) + 1
-    wall = time.perf_counter() - start
+def _phase(report: dict) -> dict:
+    """Per-phase latency/source statistics of one in-process load report."""
+    latency = report["latency_seconds"]
     return {
-        "requests": len(latencies),
-        "wall_seconds": wall,
-        "throughput_rps": len(latencies) / wall if wall > 0 else float("inf"),
-        "latency_median_seconds": statistics.median(latencies),
-        "latency_mean_seconds": statistics.fmean(latencies),
-        "latency_max_seconds": max(latencies),
-        "by_source": dict(sorted(sources.items())),
+        "requests": report["completed"],
+        "wall_seconds": report["wall_seconds"],
+        "throughput_rps": report["throughput_rps"],
+        "latency_median_seconds": latency["p50"],
+        "latency_mean_seconds": latency["mean"],
+        "latency_max_seconds": latency["max"],
+        "by_source": report["by_source"],
     }
 
 
@@ -112,25 +106,25 @@ def run_service_benchmark(scale_name: str, seed: int = 2015) -> dict:
             f"unknown scale {scale_name!r}; expected one of {sorted(_PROFILES)}"
         ) from None
     if seed != profile.seed:
-        profile = ServiceLoadProfile(**{**profile.describe(), "seed": seed,
-                                        "scenarios": profile.scenarios})
-    requests = build_service_requests(profile)
+        profile = HttpLoadProfile(**{**profile.describe(), "seed": seed,
+                                     "scenarios": profile.scenarios})
+    schedule = build_http_schedule(profile)
 
     cache_dir = Path(tempfile.mkdtemp(prefix="repro-bench-service-"))
     try:
         cold_frontend = ServiceFrontend(
             cache_dir, default_budget_seconds=profile.budget_seconds, seed=seed
         )
-        cold = _replay(cold_frontend, requests, profile.batch_size)
+        cold = _phase(run_inprocess_load(schedule, cold_frontend))
 
         # New frontend over the same directory: empty memory tier, warm disk.
         disk_frontend = ServiceFrontend(
             cache_dir, default_budget_seconds=profile.budget_seconds, seed=seed
         )
-        disk_warm = _replay(disk_frontend, requests, profile.batch_size)
+        disk_warm = _phase(run_inprocess_load(schedule, disk_frontend))
 
         # Same frontend again: every key now sits in the memory LRU.
-        memory_warm = _replay(disk_frontend, requests, profile.batch_size)
+        memory_warm = _phase(run_inprocess_load(schedule, disk_frontend))
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 

@@ -19,8 +19,8 @@
   scenario violates its expected shape);
 * ``portfolio``  — aggregate a dataset under a wall-clock budget by racing
   the guidance-chosen algorithm portfolio (anytime local search included);
-* ``serve``      — replay a synthetic service-load request stream through
-  the caching/coalescing service frontend and print its statistics;
+* ``serve``      — drive a seeded load schedule in process through the
+  caching/coalescing service frontend and print its statistics;
 * ``serve-http`` — run the async HTTP serving layer (sharded workers,
   consistent-hash routing, backpressure, live sessions) on a TCP port or
   unix socket until SIGTERM/SIGINT or ``--max-requests``, then drain
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve",
-        help="replay a synthetic service-load request stream through the "
+        help="drive a seeded load schedule in process through the "
         "caching/coalescing service frontend",
     )
     serve.add_argument(
@@ -1083,22 +1083,20 @@ def _run_portfolio(args: argparse.Namespace) -> int:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    """Replay a service-load stream through the frontend and print stats."""
+    """Replay a load schedule through the frontend in process and print stats."""
     import json
 
     from .service import ServiceFrontend
-    from .workloads import ServiceLoadProfile, run_service_load
+    from .workloads import HttpLoadProfile, build_http_schedule, run_inprocess_load
 
-    profile = ServiceLoadProfile(
-        scenarios=tuple(args.scenario)
-        if args.scenario
-        else ServiceLoadProfile.scenarios,
+    profile = HttpLoadProfile(
+        scenarios=tuple(args.scenario or HttpLoadProfile.scenarios),
         scale=args.scale,
         num_requests=args.requests,
         skew=args.skew,
         priority=args.priority,
         budget_seconds=args.budget,
-        batch_size=args.batch_size,
+        concurrency=args.batch_size,
         seed=args.seed,
     )
     frontend = ServiceFrontend(
@@ -1106,7 +1104,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         default_budget_seconds=args.budget,
         seed=args.seed,
     )
-    payload = run_service_load(frontend, profile)
+    payload = run_inprocess_load(build_http_schedule(profile), frontend)
     stats = payload["frontend"]
     print(
         f"service load — scenarios={', '.join(profile.scenarios)} "
@@ -1114,7 +1112,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         f"budget={profile.budget_seconds}s"
     )
     print(f"  distinct datasets: {payload['distinct_datasets']}")
-    print(f"  by source:         {payload['responses_by_source']}")
+    print(f"  by source:         {payload['by_source']}")
     print(f"  hit rate:          {100.0 * stats['hit_rate']:.1f}%")
     print(f"  latency mean:      {1000.0 * stats['latency_mean_seconds']:.2f}ms")
     print(f"  latency p95:       {1000.0 * stats['latency_p95_seconds']:.2f}ms")
@@ -1203,14 +1201,13 @@ def _run_serve_http(args: argparse.Namespace) -> int:
 
 def _run_load_http(args: argparse.Namespace) -> int:
     """Drive a seeded schedule against a running server; non-zero on failures."""
+    import asyncio
     import json
 
-    from .workloads import HttpLoadProfile, build_http_schedule, run_http_load
+    from .workloads import HttpLoadProfile, build_http_schedule, drive_http_load
 
     profile = HttpLoadProfile(
-        scenarios=tuple(args.scenario)
-        if args.scenario
-        else HttpLoadProfile.scenarios,
+        scenarios=tuple(args.scenario or HttpLoadProfile.scenarios),
         scale=args.scale,
         num_requests=args.requests,
         skew=args.skew,
@@ -1222,12 +1219,13 @@ def _run_load_http(args: argparse.Namespace) -> int:
         rate=args.rate,
         seed=args.seed,
     )
-    schedule = build_http_schedule(profile)
-    report = run_http_load(
-        schedule,
-        host=args.host,
-        port=args.port,
-        unix_socket=args.unix_socket,
+    report = asyncio.run(
+        drive_http_load(
+            build_http_schedule(profile),
+            host=args.host,
+            port=args.port,
+            unix_socket=args.unix_socket,
+        )
     )
     latency = report["latency_seconds"]
     print(

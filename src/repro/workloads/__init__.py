@@ -24,16 +24,11 @@ from .http_load import (
     ScheduledRequest,
     build_http_schedule,
     drive_http_load,
-    run_http_load,
+    run_inprocess_load,
 )
 from .matrix import DEFAULT_MATRIX_ALGORITHMS, ScenarioMatrix
 from .recovery import KillRestartProfile, run_kill_restart_churn
 from .report import MatrixReport, ScenarioResult, deterministic_payload
-from .service_load import (
-    ServiceLoadProfile,
-    build_service_requests,
-    run_service_load,
-)
 from .scenario import (
     SCENARIO_SCALES,
     Scenario,
@@ -63,9 +58,6 @@ __all__ = [
     "MatrixReport",
     "ScenarioResult",
     "deterministic_payload",
-    "ServiceLoadProfile",
-    "build_service_requests",
-    "run_service_load",
     "ChurnProfile",
     "build_mutation_stream",
     "run_churn_load",
@@ -76,5 +68,5 @@ __all__ = [
     "ScheduledRequest",
     "build_http_schedule",
     "drive_http_load",
-    "run_http_load",
+    "run_inprocess_load",
 ]

@@ -1,6 +1,6 @@
 """Write-heavy churn workload: a mutation stream driving live serving.
 
-The read-side counterpart (:mod:`repro.workloads.service_load`) replays a
+The read-side counterpart (:mod:`repro.workloads.http_load`) replays a
 skewed *request* stream; this module replays a *write* stream.  A scenario
 dataset becomes the initial population of a
 :class:`~repro.core.live.LiveDataset`, a seeded mix of
@@ -21,7 +21,8 @@ The ``repro-rankagg churn`` command is a thin wrapper over
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -69,18 +70,22 @@ class ChurnProfile:
     budget_seconds: float | None = 0.25
     seed: int = 2015
 
+    def __post_init__(self) -> None:
+        if self.repair_every < 1:
+            raise ValueError(f"repair_every must be >= 1, got {self.repair_every}")
+        if self.num_mutations < 0:
+            raise ValueError(f"num_mutations must be >= 0, got {self.num_mutations}")
+        mix = tuple(self.mutation_mix)
+        valid = all(math.isfinite(weight) and weight >= 0 for weight in mix)
+        if len(mix) != 3 or not valid or sum(mix) <= 0:
+            raise ValueError(
+                "mutation_mix must be three finite, non-negative weights "
+                f"with a positive sum, got {mix}"
+            )
+
     def describe(self) -> dict[str, Any]:
         """Flat dictionary form (embedded in the churn-report payload)."""
-        return {
-            "scenario": self.scenario,
-            "scale": self.scale,
-            "num_mutations": self.num_mutations,
-            "mutation_mix": list(self.mutation_mix),
-            "repair_every": self.repair_every,
-            "algorithm": self.algorithm,
-            "budget_seconds": self.budget_seconds,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "mutation_mix": list(self.mutation_mix)}
 
 
 def _random_ranking(elements: list[Any], rng: np.random.Generator) -> Ranking:
@@ -140,6 +145,32 @@ def build_mutation_stream(
     return stream
 
 
+def apply_mutation(
+    session: LiveAggregationSession | LiveDataset, item: tuple[str, Any]
+) -> None:
+    """Apply one :func:`build_mutation_stream` ``item`` to ``session`` (a
+    live session or a bare :class:`~repro.core.live.LiveDataset`)."""
+    kind, payload = item
+    if kind == "add":
+        session.add_ranking(payload)
+    elif kind == "remove":
+        session.remove_ranking(payload)
+    else:
+        index, ranking = payload
+        session.update_ranking(index, ranking)
+
+
+def weights_match_rebuild(live: LiveDataset) -> bool:
+    """Whether the delta-maintained pairwise weights of ``live`` are
+    byte-identical to a from-scratch preparation of its rankings."""
+    maintained = live.weights()
+    fresh = prepare_rankings(list(live.rankings)).weights
+    return bool(
+        np.array_equal(maintained.before_matrix, fresh.before_matrix)
+        and np.array_equal(maintained.tied_matrix, fresh.tied_matrix)
+    )
+
+
 def run_churn_load(
     profile: ChurnProfile | None = None,
     *,
@@ -184,14 +215,8 @@ def run_churn_load(
     score_deltas: list[int] = []
     warm_repairs = 0
     invalidated = 0
-    for position, (kind, payload) in enumerate(stream):
-        if kind == "add":
-            session.add_ranking(payload)
-        elif kind == "remove":
-            session.remove_ranking(payload)
-        else:
-            index, ranking = payload
-            session.update_ranking(index, ranking)
+    for position, item in enumerate(stream):
+        apply_mutation(session, item)
         delta_seconds.append(live.last_delta_seconds)
         if (position + 1) % profile.repair_every == 0:
             report = session.repair()
@@ -200,13 +225,6 @@ def run_churn_load(
             invalidated += report.invalidated
             if report.score_delta is not None:
                 score_deltas.append(report.score_delta)
-
-    fresh = prepare_rankings(list(live.rankings))
-    maintained = live.weights()
-    weights_match = bool(
-        np.array_equal(maintained.before_matrix, fresh.weights.before_matrix)
-        and np.array_equal(maintained.tied_matrix, fresh.weights.tied_matrix)
-    )
 
     def _mean(sample: list[float]) -> float:
         return float(sum(sample) / len(sample)) if sample else 0.0
@@ -226,6 +244,6 @@ def run_churn_load(
         "repair_max_seconds": max(repair_seconds, default=0.0),
         "score_delta_total": int(sum(score_deltas)),
         "invalidated": invalidated,
-        "weights_match_rebuild": weights_match,
+        "weights_match_rebuild": weights_match_rebuild(live),
         "final_score": session.score,
     }

@@ -1,18 +1,27 @@
-"""HTTP load generator: seeded schedules driven over the real socket path.
+"""Load generator: one seeded schedule, driven in process or over a socket.
 
-The socket-path counterpart of :mod:`repro.workloads.service_load`.  Where
-that module replays a skewed stream through an in-process
-:class:`~repro.service.ServiceFrontend`, this one drives a running
-:class:`~repro.service.http.HttpAggregationServer` through real
-connections, in two classic load-testing shapes:
+Real serving traffic is heavily repetitive — a few popular inputs account
+for most requests.  :func:`build_http_schedule` turns the scenario catalog
+into such a stream: the distinct datasets of one or more scenarios become
+the request population, a Zipf-like popularity law decides how often each
+is asked for, and every slot is pre-encoded as the exact ``POST
+/aggregate`` body it sends.  Two drivers replay one schedule and return
+one report shape:
 
-* **closed loop** — ``concurrency`` workers, each with its own keep-alive
-  connection, firing its next request the moment the previous answer
-  lands.  Measures saturated throughput.
-* **open loop** — requests fire at schedule-fixed offsets (seeded
-  exponential inter-arrivals at ``rate`` req/s) regardless of how fast
-  answers come back, so queueing delay shows up in the latency tail
-  instead of silently throttling the offered load.
+* :func:`drive_http_load` drives a running
+  :class:`~repro.service.http.HttpAggregationServer` through real
+  connections, **closed loop** (``concurrency`` workers, each with its
+  own keep-alive connection, firing its next request the moment the
+  previous answer lands — saturated throughput) or **open loop**
+  (requests fire at schedule-fixed offsets, seeded exponential
+  inter-arrivals at ``rate`` req/s, regardless of how fast answers come
+  back, so queueing delay shows up in the latency tail instead of
+  silently throttling the offered load);
+* :func:`run_inprocess_load` replays the schedule through an in-process
+  :class:`~repro.service.ServiceFrontend`, ``concurrency`` consecutive
+  slots per :meth:`~repro.service.ServiceFrontend.submit_batch`, so
+  requests in flight together coalesce as they do across connections.
+  The ``repro-rankagg serve`` command is a thin wrapper over it.
 
 Everything about a run is **deterministic from the profile's seed**: the
 request population, the Zipf popularity draw, the open-loop arrival
@@ -22,8 +31,9 @@ the whole schedule so a replay can assert byte-identical construction.
 The report likewise digests every answer's content
 (:func:`~repro.service.http.protocol.result_fingerprint`, in schedule
 order) into ``results_fingerprint`` — two runs against the same server
-state must produce the same value, which is the load generator's
-determinism contract (pinned by ``tests/workloads/test_http_load.py``).
+state, or one schedule through either driver, must produce the same
+value: the load generator's determinism contract, pinned by
+``tests/workloads/test_{http_load,load_transports}.py``.
 """
 
 from __future__ import annotations
@@ -32,14 +42,20 @@ import asyncio
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
 from ..datasets.dataset import Dataset
+from ..service.frontend import ServiceFrontend
 from ..service.http.client import AsyncHttpClient
-from ..service.http.protocol import encode_aggregate_request, result_fingerprint
+from ..service.http.protocol import (
+    decode_aggregate_request,
+    encode_aggregate_request,
+    response_payload,
+    result_fingerprint,
+)
 from .scenario import get_scenario
 
 __all__ = [
@@ -48,13 +64,13 @@ __all__ = [
     "ScheduledRequest",
     "build_http_schedule",
     "drive_http_load",
-    "run_http_load",
+    "run_inprocess_load",
 ]
 
 
 @dataclass(frozen=True)
 class HttpLoadProfile:
-    """Shape of one socket-path load run.
+    """Shape of one load run (either driver).
 
     Attributes
     ----------
@@ -80,7 +96,7 @@ class HttpLoadProfile:
         (arrival-rate-limited).
     concurrency:
         Closed-loop worker count (also the open-loop connection-pool
-        floor).
+        floor); in process, the slots per ``submit_batch`` call.
     rate:
         Open-loop mean arrival rate in requests/second.
     seed:
@@ -111,20 +127,7 @@ class HttpLoadProfile:
 
     def describe(self) -> dict[str, Any]:
         """Flat dictionary form (embedded in the load report)."""
-        return {
-            "scenarios": list(self.scenarios),
-            "scale": self.scale,
-            "num_requests": self.num_requests,
-            "skew": self.skew,
-            "priority": self.priority,
-            "budget_seconds": self.budget_seconds,
-            "deadline_seconds": self.deadline_seconds,
-            "algorithm": self.algorithm,
-            "loop": self.loop,
-            "concurrency": self.concurrency,
-            "rate": self.rate,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "scenarios": list(self.scenarios)}
 
 
 @dataclass(frozen=True)
@@ -208,8 +211,10 @@ def _population(profile: HttpLoadProfile) -> list[Dataset]:
 def build_http_schedule(profile: HttpLoadProfile | None = None) -> HttpSchedule:
     """Materialise the deterministic schedule described by ``profile``.
 
-    Dataset popularity follows the Zipf law of
-    :func:`~repro.workloads.service_load.build_service_requests`; open-loop
+    Dataset ``i`` of the population is drawn with probability
+    proportional to ``1 / (i + 1) ** skew`` — the classic Zipf popularity
+    law — so the stream repeats a few datasets often and the rest rarely,
+    which is what makes cache tiers and coalescing observable; open-loop
     arrival offsets accumulate exponential inter-arrival gaps with mean
     ``1 / rate``.  Both draws come from one seeded generator, so the whole
     schedule — offsets, dataset choices, wire payloads — is a pure
@@ -269,8 +274,8 @@ async def drive_http_load(
     """Drive one schedule against a running server (async form).
 
     Use this inside an existing event loop (the in-process test suite
-    starts server and load generator on one loop); :func:`run_http_load`
-    is the blocking wrapper for CLI / benchmark use.
+    starts server and load generator on one loop), or wrap it in
+    :func:`asyncio.run` for CLI / benchmark use.
 
     Parameters
     ----------
@@ -341,25 +346,83 @@ async def drive_http_load(
             for client in pool:
                 await client.close()
     wall_seconds = time.perf_counter() - started
+    return _load_report(
+        schedule, records, wall_seconds, unix_socket or f"{host}:{port}"
+    )
 
-    done = [record for record in records if record is not None]
+
+def run_inprocess_load(
+    schedule: HttpSchedule, frontend: ServiceFrontend
+) -> dict[str, Any]:
+    """Drive one schedule through an in-process frontend (no socket).
+
+    Every slot's wire body is decoded with
+    :func:`~repro.service.http.protocol.decode_aggregate_request` and its
+    dataset fingerprinted (as the socket path does to route it) before
+    the timed region; then each ``concurrency`` consecutive slots go in as
+    one :meth:`~repro.service.ServiceFrontend.submit_batch`, so requests
+    in flight together coalesce as they do across connections.  Open-loop
+    offsets are not waited for; a slot's latency is the frontend's own.
+
+    Parameters
+    ----------
+    schedule:
+        The schedule to drive (:func:`build_http_schedule`).
+    frontend:
+        The serving frontend under load.
+
+    Returns
+    -------
+    dict
+        The :func:`drive_http_load` report (``transport`` is
+        ``"in-process"``) plus ``distinct_datasets`` and the frontend's
+        session statistics (``frontend``).
+    """
+    requests = [decode_aggregate_request(slot.wire) for slot in schedule.requests]
+    for request in requests:
+        request.dataset.content_fingerprint()
+    step = schedule.profile.concurrency
+    responses = []
+    started = time.perf_counter()
+    for begin in range(0, len(requests), step):
+        responses.extend(frontend.submit_batch(requests[begin : begin + step]))
+    wall_seconds = time.perf_counter() - started
+    records = [
+        _record(response_payload(response), response.latency_seconds)
+        for response in responses
+    ]
+    report = _load_report(schedule, records, wall_seconds, "in-process")
+    report["distinct_datasets"] = len(
+        {slot.dataset_index for slot in schedule.requests}
+    )
+    report["frontend"] = frontend.describe()
+    return report
+
+
+def _load_report(
+    schedule: HttpSchedule,
+    records: list[dict[str, Any]],
+    wall_seconds: float,
+    transport: str,
+) -> dict[str, Any]:
+    """The one report shape of both drivers, from per-slot records."""
     by_status: dict[str, int] = {}
     by_source: dict[str, int] = {}
-    for record in done:
+    for record in records:
         by_status[record["status"]] = by_status.get(record["status"], 0) + 1
         by_source[record["source"]] = by_source.get(record["source"], 0) + 1
     latencies = np.array(
-        [record["latency_seconds"] for record in done] or [0.0]
+        [record["latency_seconds"] for record in records] or [0.0]
     )
     digest = hashlib.sha256()
-    for record in done:
+    for record in records:
         digest.update(record["result_fingerprint"].encode("ascii"))
     return {
         "report": "http-load",
-        "profile": profile.describe(),
-        "transport": unix_socket or f"{host}:{port}",
+        "profile": schedule.profile.describe(),
+        "transport": transport,
         "num_requests": len(schedule.requests),
-        "completed": len(done),
+        "completed": len(records),
         "failed": int(by_status.get("failed", 0)),
         "by_status": dict(sorted(by_status.items())),
         "by_source": dict(sorted(by_source.items())),
@@ -372,12 +435,12 @@ async def drive_http_load(
         },
         "wall_seconds": wall_seconds,
         "throughput_rps": (
-            len(done) / wall_seconds if wall_seconds > 0 else 0.0
+            len(records) / wall_seconds if wall_seconds > 0 else 0.0
         ),
         "schedule_fingerprint": schedule.fingerprint(),
         "results_fingerprint": digest.hexdigest(),
         "result_fingerprints": [
-            record["result_fingerprint"] for record in done
+            record["result_fingerprint"] for record in records
         ],
     }
 
@@ -394,53 +457,22 @@ async def _fire(
     """
     sent = time.perf_counter()
     try:
-        code, payload = await client.request("POST", "/aggregate", slot.wire)
+        _code, payload = await client.request("POST", "/aggregate", slot.wire)
     except (OSError, asyncio.IncompleteReadError) as error:
         await client.close()
-        payload = {"status": "failed", "error": f"transport: {error}"}
-        return {
-            "position": slot.position,
-            "http_code": 0,
+        payload = {
             "status": "failed",
             "source": "transport",
-            "shard": None,
-            "latency_seconds": time.perf_counter() - sent,
-            "result_fingerprint": result_fingerprint(payload),
+            "error": f"transport: {error}",
         }
-    latency = time.perf_counter() - sent
+    return _record(payload, time.perf_counter() - sent)
+
+
+def _record(payload: dict[str, Any], latency_seconds: float) -> dict[str, Any]:
+    """One slot's report record, distilled from its response wire payload."""
     return {
-        "position": slot.position,
-        "http_code": code,
         "status": str(payload.get("status") or "failed"),
         "source": str(payload.get("source") or "unknown"),
-        "shard": payload.get("shard"),
-        "latency_seconds": latency,
+        "latency_seconds": latency_seconds,
         "result_fingerprint": result_fingerprint(payload),
     }
-
-
-def run_http_load(
-    schedule: HttpSchedule,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    unix_socket: str | None = None,
-) -> dict[str, Any]:
-    """Blocking wrapper over :func:`drive_http_load` (CLI / benchmarks).
-
-    Parameters
-    ----------
-    schedule:
-        The schedule to drive.
-    host:
-        Server address (TCP transport).
-    port:
-        Server port (TCP transport).
-    unix_socket:
-        Connect over a unix domain socket at this path instead of TCP.
-    """
-    return asyncio.run(
-        drive_http_load(
-            schedule, host=host, port=port, unix_socket=unix_socket
-        )
-    )

@@ -16,10 +16,11 @@ the journal and checks the recovery invariant:
 * the next round resumes exactly at the recovered generation, so the
   stream is applied once — no loss, no double-apply.
 
-After the final (uninterrupted) round the replayed dataset must be
-byte-identical — pairwise weight matrices and content fingerprint — to a
-from-scratch :func:`~repro.core.prepared.prepare_rankings` over the same
-stream applied to a fresh dataset.
+After the final (uninterrupted) round the replayed pairwise weight
+matrices must be byte-identical to a from-scratch
+:func:`~repro.core.prepared.prepare_rankings` of the replayed rankings,
+whose content fingerprint must match the same stream applied to a fresh
+dataset.
 
 The ``repro-rankagg recovery-churn`` command is a thin wrapper over
 :func:`run_kill_restart_churn`; the CI ``recovery`` job runs it as the
@@ -32,17 +33,19 @@ import multiprocessing
 import os
 import signal
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from ..core.journal import journal_exists, replay_journal
 from ..core.live import LiveDataset
-from ..core.prepared import prepare_rankings
 from ..service.live import LiveAggregationSession
-from .churn import ChurnProfile, build_mutation_stream
+from .churn import (
+    ChurnProfile,
+    apply_mutation,
+    build_mutation_stream,
+    weights_match_rebuild,
+)
 from .scenario import get_scenario
 
 __all__ = ["KillRestartProfile", "run_kill_restart_churn"]
@@ -89,6 +92,8 @@ class KillRestartProfile:
     seed: int = 2015
 
     def __post_init__(self) -> None:
+        if self.repair_every < 1:
+            raise ValueError(f"repair_every must be >= 1, got {self.repair_every}")
         points = tuple(self.kill_points)
         if any(b <= a for a, b in zip(points, points[1:])):
             raise ValueError(f"kill_points must be increasing, got {points}")
@@ -101,28 +106,7 @@ class KillRestartProfile:
 
     def describe(self) -> dict[str, Any]:
         """Flat dictionary form (embedded in the report payload)."""
-        return {
-            "scenario": self.scenario,
-            "scale": self.scale,
-            "num_mutations": self.num_mutations,
-            "kill_points": list(self.kill_points),
-            "repair_every": self.repair_every,
-            "fsync": self.fsync,
-            "algorithm": self.algorithm,
-            "budget_seconds": self.budget_seconds,
-            "seed": self.seed,
-        }
-
-
-def _apply(session: LiveAggregationSession, item: tuple[str, Any]) -> None:
-    kind, payload = item
-    if kind == "add":
-        session.add_ranking(payload)
-    elif kind == "remove":
-        session.remove_ranking(payload)
-    else:
-        index, ranking = payload
-        session.update_ranking(index, ranking)
+        return {**asdict(self), "kill_points": list(self.kill_points)}
 
 
 def _churn_worker(
@@ -160,7 +144,7 @@ def _churn_worker(
     offset = session.dataset.generation  # mutations already recovered
     conn.send(("resumed", offset))
     for position in range(offset, len(stream)):
-        _apply(session, stream[position])
+        apply_mutation(session, stream[position])
         conn.send(("ack", position + 1))
         if (position + 1) % profile.repair_every == 0:
             session.repair()
@@ -279,21 +263,8 @@ def run_kill_restart_churn(
     # reproduce the recovered state bit for bit.
     final = replay_journal(directory)
     fresh = LiveDataset(base.rankings, name=final.dataset.name)
-    fresh_session = LiveAggregationSession(
-        fresh, algorithm=profile.algorithm, budget_seconds=profile.budget_seconds
-    )
     for item in stream:
-        _apply(fresh_session, item)
-    prepared = prepare_rankings(list(fresh.rankings))
-    recovered_weights = final.dataset.weights()
-    weights_match = bool(
-        np.array_equal(
-            recovered_weights.before_matrix, prepared.weights.before_matrix
-        )
-        and np.array_equal(
-            recovered_weights.tied_matrix, prepared.weights.tied_matrix
-        )
-    )
+        apply_mutation(fresh, item)
     fingerprint_match = (
         final.dataset.content_fingerprint() == fresh.content_fingerprint()
     )
@@ -306,7 +277,7 @@ def run_kill_restart_churn(
         "zero_lost_acks": all(r["lost_acks"] == 0 for r in rounds),
         "completed": rounds[-1]["finished"] if rounds else False,
         "final_generation": final.generation,
-        "weights_match_rebuild": weights_match,
+        "weights_match_rebuild": weights_match_rebuild(final.dataset),
         "fingerprint_match": fingerprint_match,
         "consensus_recovered": final.consensus is not None,
     }
