@@ -8,7 +8,10 @@ oracles (``tests/oracles``):
   (``BioConsertOracle``) against the bucket-id vector + segment sums;
 * **Chanas** end-to-end aggregation, list vs. array sort passes;
 * **pairwise_distance_matrix**, the per-pair oracle loop against the
-  batched all-pairs tensor kernel.
+  batched all-pairs tensor kernel;
+* **bioconsert-multistart** at (n=100, m=50), the lockstep lanes of
+  ``BioConsert().aggregate`` against the same starts searched one lane at a
+  time through ``anytime_refine`` and scored one by one.
 
 Every (kernel, n, m) cell is timed over a few repeats and the **median**
 timings are written to a machine-readable ``BENCH_kernels.json`` (path
@@ -20,7 +23,9 @@ At ``REPRO_BENCH_SCALE=default`` (and above) the grid includes the
 acceptance cells of the PR that introduced the array layer — BioConsert at
 (n=200, m=20) must be ≥ 5× faster than the seed kernel and
 ``pairwise_distance_matrix`` over 50 rankings of n=200 must be ≥ 10×
-faster — and the run fails if those floors regress.  The ``smoke`` grid
+faster, and the lockstep multi-start BioConsert at (n=100, m=50) must be
+≥ 3× faster than its starts run one at a time — and the run fails if those
+floors regress.  The ``smoke`` grid
 keeps CI runs in seconds and does not assert speedup floors (shared CI
 runners make absolute timings unreliable), only output equality.
 
@@ -44,7 +49,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.algorithms import BioConsert, Chanas
-from repro.core import pairwise_distance_matrix
+from repro.core import (
+    PairwiseWeights,
+    generalized_kemeny_score_from_weights,
+    pairwise_distance_matrix,
+)
 from repro.experiments.report import format_table
 from repro.generators.uniform import uniform_dataset
 
@@ -69,11 +78,15 @@ _DISTANCE_GRID = {
     "default": [(100, 20), (200, 50)],
     "paper": [(100, 20), (200, 50), (400, 100)],
 }
-# Speedup floors (vs. the seed implementation) asserted per acceptance cell
-# at scale "default" and above.
+# The lockstep multi-start cell (n, m): every scale runs it.
+_MULTISTART_CELL = (100, 50)
+# Speedup floors (vs. the seed implementation, or vs. one start at a time
+# for the multi-start cell) asserted per acceptance cell at scale "default"
+# and above.
 _SPEEDUP_FLOORS = {
     ("bioconsert", 200, 20): 5.0,
     ("pairwise_distance_matrix", 200, 50): 10.0,
+    ("bioconsert-multistart", 100, 50): 3.0,
 }
 
 
@@ -181,6 +194,53 @@ def _bench_distance_matrix(grid, bench_seed: int):
     return cells
 
 
+def _one_start_at_a_time(rankings, weights):
+    """BioConsert's starts searched one lane at a time, best score kept.
+
+    Each start's trajectory is drained through ``anytime_refine`` (one
+    sweep per item) and scored; the earliest start wins score ties, as in
+    ``BioConsert().aggregate``.
+    """
+    algorithm = BioConsert()
+    best, best_score = None, None
+    for start in dict.fromkeys(rankings):
+        for candidate in algorithm.anytime_refine(start, weights):
+            pass
+        score = generalized_kemeny_score_from_weights(candidate, weights)
+        if best_score is None or score < best_score:
+            best, best_score = candidate, score
+    return best, best_score
+
+
+def _bench_multistart(bench_seed: int):
+    n, m = _MULTISTART_CELL
+    dataset = uniform_dataset(m, n, rng=bench_seed + 2, name=f"kern_multistart_n{n}_m{m}")
+    rankings = list(dataset.rankings)
+    weights = PairwiseWeights(rankings)
+    lanes = BioConsert()
+    result = lanes.aggregate(dataset)  # warm-up (builds the plan) + output check
+    consensus, score = _one_start_at_a_time(rankings, weights)
+    assert result.consensus.buckets == consensus.buckets
+    assert result.score == score
+    repeats = _repeats_for(n, m)
+    seconds_lanes = _median_seconds(lambda: lanes.aggregate(dataset), repeats)
+    seconds_one_at_a_time = _median_seconds(
+        lambda: _one_start_at_a_time(rankings, weights), repeats
+    )
+    return [
+        {
+            "kernel": "bioconsert-multistart",
+            "n": n,
+            "m": m,
+            "seconds_reference_median": seconds_one_at_a_time,
+            "seconds_arrays_median": seconds_lanes,
+            "speedup": seconds_one_at_a_time / seconds_lanes,
+            "identical_output": True,
+            "repeats": repeats,
+        }
+    ]
+
+
 def run_kernel_benchmark(scale_name: str, bench_seed: int = 2015) -> dict:
     """Run the full grid for ``scale_name`` and return the JSON payload."""
     local_grid = _LOCAL_SEARCH_GRID.get(scale_name, _LOCAL_SEARCH_GRID["smoke"])
@@ -193,6 +253,7 @@ def run_kernel_benchmark(scale_name: str, bench_seed: int = 2015) -> dict:
         Chanas(), ChanasOracle(), "chanas", local_grid, bench_seed
     )
     cells += _bench_distance_matrix(distance_grid, bench_seed)
+    cells += _bench_multistart(bench_seed)
     payload = {
         "schema": "repro-bench-kernels/1",
         "scale": scale_name,

@@ -32,8 +32,9 @@ never sees them.  The index stays correct under concurrent writers:
   the same filters as a full scan, so a stale marker never deletes a
   record that does not match.  The record is unlinked before its marker;
   a dropped marker is restored if a concurrent store has re-written a
-  matching record meanwhile.  Invalidation by ``algorithm`` alone, or with
-  no criterion, keeps the full scan.
+  matching record meanwhile.  Invalidation by ``algorithm`` alone keeps
+  the full scan and removes the marker of every record it deletes (and
+  the marker directory once empty); with no criterion it is :meth:`clear`.
 * A directory without ``by-dataset/FORMAT`` (written before the index
   existed, or interrupted mid-``clear``) is indexed by one full scan when
   a :class:`ResultCache` opens it; ``FORMAT`` is written last.
@@ -272,6 +273,11 @@ class ResultCache:
                 continue
             path.unlink(missing_ok=True)
             removed += 1
+            fingerprint = record.get("dataset_fingerprint")
+            if isinstance(fingerprint, str):
+                marker_dir = self._marker_dir(fingerprint)
+                self._drop_marker(marker_dir, fingerprint, path)
+                _remove_if_empty(marker_dir)
         return removed
 
     def clear(self) -> int:
@@ -313,6 +319,17 @@ class ResultCache:
                 # invalidation just removed the emptied directory.
                 marker.parent.mkdir(parents=True, exist_ok=True)
 
+    def _drop_marker(self, marker_dir: Path, fingerprint: str, path: Path) -> None:
+        """Unlink the marker of record ``path``; restore it if the record is back."""
+        key = path.name[: -len(".json")]
+        (marker_dir / key).unlink(missing_ok=True)
+        if path.exists():
+            # A concurrent store may have re-written a matching record
+            # after the caller's read, seeing the marker still in place.
+            record = _read_record(path)
+            if record is not None and record.get("dataset_fingerprint") == fingerprint:
+                self._mark(fingerprint, key)
+
     def _write_format(self) -> None:
         self._index.mkdir(exist_ok=True)
         (self._index / _INDEX_FORMAT).write_text("1\n", encoding="utf-8")
@@ -344,17 +361,8 @@ class ResultCache:
                 removed += 1
             # Matched and removed, or a stale marker: the record is missing,
             # unreadable, or re-stored under another fingerprint.
-            (marker_dir / key).unlink(missing_ok=True)
-            if path.exists():
-                # A concurrent store may have re-written a matching record
-                # after the read above, seeing the marker still in place.
-                record = _read_record(path)
-                if record is not None and record.get("dataset_fingerprint") == fingerprint:
-                    self._mark(fingerprint, key)
-        try:
-            marker_dir.rmdir()
-        except OSError:
-            pass  # still holds markers (kept records, or concurrent stores)
+            self._drop_marker(marker_dir, fingerprint, path)
+        _remove_if_empty(marker_dir)
         return removed
 
     def stats(self) -> CacheStats:
@@ -378,6 +386,13 @@ class ResultCache:
 
     def __repr__(self) -> str:
         return f"ResultCache(directory={str(self.directory)!r})"
+
+
+def _remove_if_empty(marker_dir: Path) -> None:
+    try:
+        marker_dir.rmdir()
+    except OSError:
+        pass  # still holds markers (kept records, or concurrent stores)
 
 
 def _read_record(path: Path) -> dict[str, Any] | None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,3 +111,11 @@ def test_bioconsert_matches_exact_or_stays_close(rankings):
     optimal = ExactSubsetDP().aggregate(rankings).score
     heuristic = BioConsert().aggregate(rankings).score
     assert optimal <= heuristic <= max(2 * optimal, optimal)
+
+
+@pytest.mark.parametrize("max_sweeps", [-1, True, False, 2.5, 3.0, "3", None, np.int64(3)])
+def test_max_sweeps_must_be_a_non_negative_int(max_sweeps):
+    """Negative caps, bools, floats, strings and NumPy integers are rejected
+    at construction, not at the first aggregate (or silently)."""
+    with pytest.raises(ValueError, match="max_sweeps must be an int >= 0"):
+        BioConsert(max_sweeps=max_sweeps)

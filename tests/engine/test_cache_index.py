@@ -233,3 +233,30 @@ def test_fingerprint_invalidation_opens_only_matching_records(tmp_path):
             dataset_fingerprint="other-0"
         ) == 1
     assert opened[0] == 497
+
+
+def test_algorithm_invalidation_removes_the_deleted_records_markers(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    cache.store("aa-shared", _record("fp-shared", "A"))
+    cache.store("bb-shared", _record("fp-shared", "B"))
+    cache.store("cc-only-a", _record("fp-only-a", "A"))
+    cache.store("dd-only-b", _record("fp-only-b", "B"))
+    cache.store("ee-unindexed", _record(7, "A"))  # non-string: never indexed
+    assert len(_markers(cache.directory)) == 4
+
+    assert cache.invalidate(algorithm="A") == 3
+    indexed_left = [
+        record
+        for record in cache.iter_records()
+        if isinstance(record["dataset_fingerprint"], str)
+    ]
+    assert len(_markers(cache.directory)) == len(indexed_left) == 2
+    # fp-only-a's emptied marker directory went with its last marker.
+    marker_dirs = [
+        path for path in (cache.directory / "by-dataset").glob("*/*") if path.is_dir()
+    ]
+    assert sorted(cache._marker_dir(fp) for fp in ("fp-only-b", "fp-shared")) == sorted(
+        marker_dirs
+    )
+    assert cache.invalidate(dataset_fingerprint="fp-shared") == 1
+    assert [record["key"] for record in cache.iter_records()] == ["dd-only-b"]

@@ -7,9 +7,10 @@ bucket lists, per-element dictionaries, one pair at a time — kept only as
 ground truth for the differential tests, which assert identical outputs on
 random datasets with ties.
 
-An oracle class subclasses its library class and overrides the one private
-method that computes the result, so configuration, naming, seeding and the
-reported details stay those of the library class.
+An oracle class subclasses its library class and overrides the private
+methods that compute the result (``BioConsertOracle`` both the batch search
+and the per-start sweep behind the anytime paths), so configuration,
+naming, seeding and the reported details stay those of the library class.
 
 :mod:`oracles.cache` holds the same kind of reference for the result
 cache: invalidation by a scan of every record.

@@ -1,19 +1,72 @@
-"""BioConsert with the list-of-buckets local search."""
+"""BioConsert with the per-start, list-of-buckets local search.
+
+The library runs every start as one lane of a lockstep bucket-id array;
+this oracle keeps the original shape: one start after another, each swept
+over explicit bucket lists, the best local optimum kept with the earliest
+start winning score ties.
+"""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from repro.algorithms import BioConsert
+from repro.algorithms import BioConsert, BordaCount
 from repro.core import PairwiseWeights, Ranking
+from repro.core.kemeny import generalized_kemeny_score_from_weights
 
 
 class BioConsertOracle(BioConsert):
     """:class:`~repro.algorithms.BioConsert` sweeping explicit bucket lists."""
 
+    def _aggregate(
+        self, rankings: Sequence[Ranking], weights: PairwiseWeights
+    ) -> Ranking:
+        cost_before = weights.cost_before().astype(np.int64)
+        cost_tied = weights.cost_tied().astype(np.int64)
+
+        starts: list[Ranking] = list(dict.fromkeys(rankings))
+        if self._include_borda_start:
+            starts.append(BordaCount().consensus(list(rankings)))
+
+        best: Ranking | None = None
+        best_score: int | None = None
+        self._sweeps_used = 0
+        self._starts_used = len(starts)
+        for start in starts:
+            candidate = self._local_search(start, weights, cost_before, cost_tied)
+            score = generalized_kemeny_score_from_weights(candidate, weights)
+            if best_score is None or score < best_score:
+                best = candidate
+                best_score = score
+        assert best is not None
+        return best
+
+    def _local_search(
+        self,
+        start: Ranking,
+        weights: PairwiseWeights,
+        cost_before: np.ndarray,
+        cost_tied: np.ndarray,
+    ) -> Ranking:
+        candidate = start
+        for candidate in self._list_sweeps(start, weights, cost_before, cost_tied):
+            pass
+        return candidate
+
     def _sweep_candidates(
+        self, start: Ranking, weights: PairwiseWeights, rows: np.ndarray
+    ) -> Iterator[Ranking]:
+        """The anytime and refinement paths, on the list-of-buckets sweep."""
+        return self._list_sweeps(
+            start,
+            weights,
+            weights.cost_before().astype(np.int64),
+            weights.cost_tied().astype(np.int64),
+        )
+
+    def _list_sweeps(
         self,
         start: Ranking,
         weights: PairwiseWeights,
