@@ -422,7 +422,7 @@ def architecture_svg() -> str:
         (20, 20, 200, "repro.cli", "aggregate · batch · scenarios · serve · portfolio"),
         (260, 20, 200, "repro.service", "PortfolioScheduler · ServiceFrontend · live sessions"),
         (750, 20, 140, "repro.service.http", "server · shards · failover"),
-        (500, 20, 200, "repro.workloads", "Scenario registry · ScenarioMatrix · service load · churn"),
+        (500, 20, 200, "repro.workloads", "Scenario registry · ScenarioMatrix · load generator · churn"),
         (140, 130, 200, "repro.experiments", "table/figure drivers"),
         (380, 130, 200, "repro.engine", "backends · ResultCache · tiering · BatchJob"),
         (20, 240, 200, "repro.evaluation", "gaps · runner · timing · guidance"),

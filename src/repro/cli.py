@@ -1183,16 +1183,15 @@ def _run_serve_http(args: argparse.Namespace) -> int:
         stopped.cancel()
         if args.port_file:
             Path(args.port_file).unlink(missing_ok=True)
-        return server.stats.describe()
+        return server.stats.requests, server.pool.stats().describe()
 
-    stats = asyncio.run(_serve())
-    service = stats["service"]
+    requests, service = asyncio.run(_serve())
     ok = sum(
         service[source]
         for source in ("computed", "memory_hits", "disk_hits", "coalesced")
     )
     print(
-        f"drained — requests={stats['requests']} ok={ok} "
+        f"drained — requests={requests} ok={ok} "
         f"rejected={service['rejected']} deadline={service['deadline_misses']} "
         f"failed={service['failed']} coalesced={service['coalesced']}"
     )

@@ -10,15 +10,15 @@ per-outcome ``service.*`` instruments are therefore emitted at one site,
 :func:`repro.service.frontend.record_outcome`, which every serving path
 calls once per answer: :meth:`~repro.service.ServiceFrontend.submit` for
 what a frontend answers itself (in process, in a thread-mode shard or in
-a process-mode worker), ``submit_batch`` for its followers and admission
-refusals, :class:`~repro.service.http.ShardPool` on the driver for
-cross-connection followers, ``overloaded`` refusals, failed dispatches
-and the answers process-mode workers return, and the HTTP server for
-drain-window refusals.  Every other instrumentation site imports its
-name from this module instead of spelling a string literal; the
-regression suite (``tests/service/test_counter_parity.py``) drives both
-paths through the same degradation scenarios and asserts the emitted
-``service.*`` name sets are identical.
+a process-mode worker), ``submit_batch`` for its followers, and
+:class:`~repro.service.http.ShardPool` in the serving process for
+cross-connection followers, every refusal (``overloaded`` and
+``draining``), failed dispatches and the answers process-mode workers
+return.  Every other instrumentation site imports its name from this
+module instead of spelling a string literal; the regression suite
+(``tests/service/test_counter_parity.py``) drives both paths through
+degradation scenarios and asserts the emitted ``service.*`` name sets
+are identical.
 
 Instrument vocabulary
 ---------------------
@@ -36,7 +36,8 @@ Instrument vocabulary
 ``http.*``
     Emitted only by the socket path, *in addition to* the shared
     vocabulary: :data:`HTTP_REQUESTS` (labelled by route and HTTP
-    status), :data:`HTTP_REJECTED` (labelled by reason),
+    status), :data:`HTTP_REJECTED` (labelled by reason — every
+    ``overloaded`` and ``draining`` refusal of the pool),
     :data:`HTTP_SHARD_ROUTE` (labelled by shard — the consistent-hash
     routing decision) and the :data:`HTTP_LATENCY_SECONDS` histogram
     (full socket-path latency including parse and serialization).

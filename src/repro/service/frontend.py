@@ -19,13 +19,13 @@ serving-side optimisations:
 * **per-request accounting** — every response records its latency and
   source (``computed`` / ``memory`` / ``disk`` / ``coalesced``), and
   :meth:`ServiceFrontend.stats` aggregates hit rates and latency
-  percentiles for the whole session;
-* **graceful degradation** — bounded admission (``max_queue``) answers
-  excess requests with structured ``overloaded`` rejections, per-request
-  deadlines (:attr:`ServiceRequest.deadline_seconds`) reject work whose
-  answer can no longer be useful, and a failed computation becomes a
-  structured ``failed`` response — propagated to its coalesced followers
-  — instead of an exception tearing the batch down.
+  statistics for the whole session in constant memory (percentiles are
+  bucket estimates);
+* **graceful degradation** — per-request deadlines
+  (:attr:`ServiceRequest.deadline_seconds`) reject work whose answer can
+  no longer be useful, and a failed computation becomes a structured
+  ``failed`` response — propagated to its coalesced followers — instead
+  of an exception tearing the batch down.
 
 The per-request decisions live here once, for the in-process batch path
 and the socket path (:class:`~repro.service.http.ShardPool`) alike:
@@ -34,14 +34,18 @@ and the socket path (:class:`~repro.service.http.ShardPool`) alike:
 :func:`follower_response` and :func:`degraded_response` build the
 answers that execute nothing, and :func:`record_outcome` accounts every
 answer in a :class:`ServiceStats` registry and on the ``service.*``
-telemetry instruments.
+telemetry instruments — :meth:`ServiceFrontend.submit` for what a
+frontend answers itself, :meth:`ServiceFrontend.submit_batch` for its
+coalesced followers, the pool for the rest.  Admission (``max_pending``)
+and the ``overloaded`` / ``draining`` refusals are the pool's alone; a
+frontend admits everything it is given.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -55,6 +59,7 @@ from ..engine.fingerprint import dataset_fingerprint, run_key
 from ..engine.tiering import TieredResultCache
 from ..evaluation.guidance import Priority
 from ..telemetry import runtime as _telemetry
+from ..telemetry.metrics import Histogram, MetricsRegistry
 from . import counters as _counters
 from .portfolio import PortfolioScheduler
 
@@ -168,47 +173,63 @@ class ServiceResponse:
         return self.source in ("memory", "disk")
 
 
-@dataclass
+#: Answer status → outcome kind of a :class:`ServiceStats`; an answer with
+#: any other status (``ok``) counts by its source, as ``computed`` when
+#: no cache tier or coalescing served it.
+_STATUS_KINDS = {
+    "overloaded": "rejected",
+    "draining": "rejected",
+    "deadline": "deadline_misses",
+    "failed": "failed",
+}
+_SOURCE_KINDS = {"memory": "memory_hits", "disk": "disk_hits", "coalesced": "coalesced"}
+
+
+def _count(kind: str, doc: str) -> property:
+    """A read-only view of one outcome kind of a :class:`ServiceStats`."""
+    return property(lambda stats: int(stats._outcomes.value(kind=kind)), doc=doc)
+
+
+def _timing(histogram: Histogram) -> tuple[int, float, float]:
+    """Exact count, mean and maximum of a one-series histogram."""
+    series = histogram.to_payload()["series"]
+    if not series:
+        return 0, 0.0, 0.0
+    item = series[0]
+    return item["count"], item["sum"] / item["count"], item["max"]
+
+
 class ServiceStats:
     """Session accounting of a :class:`ServiceFrontend` or a serving shard.
 
-    Attributes
-    ----------
-    requests:
-        Total requests answered.
-    computed:
-        Requests that executed a fresh aggregation.
-    memory_hits, disk_hits:
-        Requests served by the memory / disk cache tier.
-    coalesced:
-        Requests that shared another identical request's computation.
-    rejected:
-        Requests refused by bounded admission (``overloaded``) or during
-        a graceful drain (``draining``).
-    deadline_misses:
-        Requests whose per-request deadline expired before execution.
-    failed:
-        Requests whose computation raised (structured ``failed``
-        responses, including coalesced followers of a failed leader).
-    latencies:
-        Per-request latency sample, in seconds (queue + execution).
-    queue_waits:
-        Per-request queue-wait sample, in seconds.
-    execution_times:
-        Per-request execution sample, in seconds.
+    Constant memory however many answers it absorbs: one counter per
+    outcome kind and one fixed-bucket
+    :class:`~repro.telemetry.metrics.Histogram` each for the latency, the
+    queue wait and the execution share of every answer.  Counts, means and
+    maxima are exact; the p50/p95 latencies are estimated inside their
+    bucket.  Thread-safe: a shard's executor and the event loop may record
+    into one registry concurrently.
     """
 
-    requests: int = 0
-    computed: int = 0
-    memory_hits: int = 0
-    disk_hits: int = 0
-    coalesced: int = 0
-    rejected: int = 0
-    deadline_misses: int = 0
-    failed: int = 0
-    latencies: list[float] = field(default_factory=list)
-    queue_waits: list[float] = field(default_factory=list)
-    execution_times: list[float] = field(default_factory=list)
+    computed = _count("computed", "Requests that executed a fresh aggregation.")
+    memory_hits = _count("memory_hits", "Requests served by the memory tier.")
+    disk_hits = _count("disk_hits", "Requests served by the disk tier.")
+    coalesced = _count("coalesced", "Requests that shared another's computation.")
+    rejected = _count("rejected", "Requests refused (overloaded / draining).")
+    deadline_misses = _count("deadline_misses", "Requests past their deadline.")
+    failed = _count("failed", "Requests whose computation raised.")
+
+    def __init__(self) -> None:
+        self._metrics = MetricsRegistry()
+        self._outcomes = self._metrics.counter("outcomes")
+        self._latency = self._metrics.histogram("latency_seconds")
+        self._queue = self._metrics.histogram("queue_seconds")
+        self._execution = self._metrics.histogram("execution_seconds")
+
+    @property
+    def requests(self) -> int:
+        """Total requests answered."""
+        return self._latency.count()
 
     @property
     def cache_hits(self) -> int:
@@ -233,42 +254,31 @@ class ServiceStats:
             socket path accounts payloads without rebuilding responses.
         """
         fields = _outcome_fields(outcome)
-        status, source = fields["status"], fields["source"]
-        self.requests += 1
-        self.latencies.append(fields["latency_seconds"])
-        self.queue_waits.append(fields["queue_seconds"])
-        self.execution_times.append(fields["execution_seconds"])
-        if status in ("overloaded", "draining"):
-            self.rejected += 1
-        elif status == "deadline":
-            self.deadline_misses += 1
-        elif status == "failed":
-            self.failed += 1
-        elif source == "memory":
-            self.memory_hits += 1
-        elif source == "disk":
-            self.disk_hits += 1
-        elif source == "coalesced":
-            self.coalesced += 1
-        else:
-            self.computed += 1
+        kind = _STATUS_KINDS.get(fields["status"]) or _SOURCE_KINDS.get(
+            fields["source"], "computed"
+        )
+        self._outcomes.inc(kind=kind)
+        self._latency.observe(fields["latency_seconds"])
+        self._queue.observe(fields["queue_seconds"])
+        self._execution.observe(fields["execution_seconds"])
 
-    def latency_percentile(self, fraction: float) -> float:
-        """Latency at the given fraction (0..1) of the sorted sample."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index]
+    def merge(self, other: ServiceStats) -> None:
+        """Fold another registry in: counts and histogram buckets add.
+
+        Parameters
+        ----------
+        other:
+            The registry to add (left unchanged).
+        """
+        self._metrics.merge_payload(other._metrics.to_payload())
 
     def describe(self) -> dict[str, Any]:
         """Flat dictionary form (CLI tables, benchmark payloads)."""
-
-        def _mean(sample: list[float]) -> float:
-            return sum(sample) / len(sample) if sample else 0.0
-
+        requests, latency_mean, latency_max = _timing(self._latency)
+        _, queue_mean, queue_max = _timing(self._queue)
+        _, execution_mean, execution_max = _timing(self._execution)
         return {
-            "requests": self.requests,
+            "requests": requests,
             "computed": self.computed,
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
@@ -277,14 +287,14 @@ class ServiceStats:
             "deadline_misses": self.deadline_misses,
             "failed": self.failed,
             "hit_rate": round(self.hit_rate, 4),
-            "latency_mean_seconds": _mean(self.latencies),
-            "latency_p50_seconds": self.latency_percentile(0.50),
-            "latency_p95_seconds": self.latency_percentile(0.95),
-            "latency_max_seconds": max(self.latencies, default=0.0),
-            "queue_mean_seconds": _mean(self.queue_waits),
-            "queue_max_seconds": max(self.queue_waits, default=0.0),
-            "execution_mean_seconds": _mean(self.execution_times),
-            "execution_max_seconds": max(self.execution_times, default=0.0),
+            "latency_mean_seconds": latency_mean,
+            "latency_p50_seconds": self._latency.percentile(0.50),
+            "latency_p95_seconds": self._latency.percentile(0.95),
+            "latency_max_seconds": latency_max,
+            "queue_mean_seconds": queue_mean,
+            "queue_max_seconds": queue_max,
+            "execution_mean_seconds": execution_mean,
+            "execution_max_seconds": execution_max,
         }
 
 
@@ -452,12 +462,6 @@ class ServiceFrontend:
         Seed forwarded to randomized algorithms (part of the cache key).
     memory_entries:
         LRU capacity when a tiered cache is created from a path.
-    max_queue:
-        Bounded admission: the most requests one :meth:`submit_batch`
-        call accepts.  Requests beyond it are answered immediately with a
-        structured ``overloaded`` rejection instead of queueing
-        unboundedly behind the batch.  ``None`` (default) admits
-        everything.
     """
 
     def __init__(
@@ -467,16 +471,12 @@ class ServiceFrontend:
         default_budget_seconds: float | None = 1.0,
         seed: int | None = None,
         memory_entries: int = 1024,
-        max_queue: int | None = None,
     ):
         if isinstance(cache, (str, Path)):
             cache = TieredResultCache(cache, memory_entries=memory_entries)
-        if max_queue is not None and max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.cache = cache
         self.default_budget_seconds = default_budget_seconds
         self.seed = seed
-        self.max_queue = max_queue
         self._stats = ServiceStats()
 
     # ------------------------------------------------------------------ #
@@ -534,13 +534,11 @@ class ServiceFrontend:
         leader's answer was ready (its ``execution_seconds`` is zero — it
         executed nothing).
 
-        Graceful degradation: with ``max_queue`` set, requests beyond the
-        admission bound are answered with structured ``overloaded``
-        rejections before anything executes; a request whose
-        ``deadline_seconds`` expired while it queued gets a ``deadline``
-        rejection (the next live request of its group is promoted to
-        leader); and a leader whose computation fails propagates its
-        structured error to every coalesced follower instead of raising.
+        Graceful degradation: a request whose ``deadline_seconds``
+        expired while it queued gets a ``deadline`` rejection (the next
+        live request of its group is promoted to leader), and a leader
+        whose computation fails propagates its structured error to every
+        coalesced follower instead of raising.
 
         Parameters
         ----------
@@ -548,24 +546,8 @@ class ServiceFrontend:
             The batch, answered in submission order.
         """
         batch_start = time.perf_counter()
-        admitted = len(requests)
-        if self.max_queue is not None:
-            admitted = min(admitted, self.max_queue)
-        refusals: list[ServiceResponse] = []
-        for request in requests[admitted:]:
-            rejection = degraded_response(
-                request.request_id,
-                status="overloaded",
-                error=(
-                    f"admission queue full "
-                    f"({self.max_queue} of {len(requests)} requests admitted)"
-                ),
-            )
-            record_outcome(self._stats, rejection)
-            refusals.append(rejection)
-
         groups: dict[tuple[Any, ...], list[int]] = {}
-        for index, request in enumerate(requests[:admitted]):
+        for index, request in enumerate(requests):
             key = coalescing_key(request, self.default_budget_seconds)
             groups.setdefault(key, []).append(index)
 
@@ -586,7 +568,7 @@ class ServiceFrontend:
                 )
                 record_outcome(self._stats, follower)
                 answers[index] = follower
-        return [answers[index] for index in range(admitted)] + refusals
+        return [answers[index] for index in range(len(requests))]
 
     # ------------------------------------------------------------------ #
     # Invalidation
@@ -631,13 +613,8 @@ class ServiceFrontend:
     def describe(self) -> dict[str, Any]:
         """Session accounting plus the cache tiers' own statistics."""
         payload = self._stats.describe()
-        if self.cache is not None and hasattr(self.cache, "stats"):
-            cache_stats = self.cache.stats()
-            payload["cache"] = (
-                cache_stats.describe()
-                if hasattr(cache_stats, "describe")
-                else repr(cache_stats)
-            )
+        if self.cache is not None:
+            payload["cache"] = self.cache.stats().describe()
         return payload
 
     # ------------------------------------------------------------------ #

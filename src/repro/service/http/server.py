@@ -39,7 +39,7 @@ import json
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -48,12 +48,7 @@ from ...core.live import LiveDataset
 from ...datasets.io import loads as dataset_loads, parse_ranking
 from ...telemetry import runtime as _telemetry
 from .. import counters as _counters
-from ..frontend import (
-    ServiceFrontend,
-    ServiceStats,
-    degraded_response,
-    record_outcome,
-)
+from ..frontend import ServiceFrontend, degraded_response
 from ..live import LiveAggregationSession
 from .protocol import (
     AggregateRequestError,
@@ -85,10 +80,10 @@ class _BodyTooLarge(Exception):
 class HttpServerStats:
     """Socket-path accounting of one :class:`HttpAggregationServer`.
 
-    ``/aggregate`` outcomes are classified by one
-    :class:`~repro.service.frontend.ServiceStats` across all shards (each
-    shard's own registry is surfaced side by side under ``GET /stats``);
-    the other fields count what only the HTTP layer sees.
+    Counts what only the HTTP layer sees.  ``/aggregate`` answers are
+    counted in the shard registries alone; ``GET /stats`` reports their
+    sum (:meth:`~repro.service.http.worker.ShardPool.stats`) as
+    ``server.service``.
 
     Attributes
     ----------
@@ -100,28 +95,16 @@ class HttpServerStats:
         Bodies refused for exceeding :data:`MAX_BODY_BYTES` (HTTP 413).
     live_requests:
         Requests handled by the ``/live`` session endpoints.
-    service:
-        Every ``/aggregate`` answer, drain-window refusals included.  An
-        answer the pool gave is only recorded here, with
-        :meth:`~repro.service.frontend.ServiceStats.record`: its shard
-        registry and the ``service.*`` instruments have it already.
     """
 
     requests: int = 0
     bad_requests: int = 0
     too_large: int = 0
     live_requests: int = 0
-    service: ServiceStats = field(default_factory=ServiceStats)
 
     def describe(self) -> dict[str, Any]:
         """Flat dictionary form (``GET /stats``, benchmark payloads)."""
-        return {
-            "requests": self.requests,
-            "bad_requests": self.bad_requests,
-            "too_large": self.too_large,
-            "live_requests": self.live_requests,
-            "service": self.service.describe(),
-        }
+        return asdict(self)
 
 
 class HttpAggregationServer:
@@ -224,7 +207,6 @@ class HttpAggregationServer:
         self._port = port
         self._unix_socket = None if unix_socket is None else str(unix_socket)
         self._server: asyncio.AbstractServer | None = None
-        self._draining = False
         self._drained = False
         self._inflight = 0
         self._idle = asyncio.Event()
@@ -264,7 +246,7 @@ class HttpAggregationServer:
     @property
     def draining(self) -> bool:
         """Whether the server has started (or finished) its drain."""
-        return self._draining
+        return self.pool.draining
 
     @property
     def live_sessions(self) -> tuple[str, ...]:
@@ -296,9 +278,9 @@ class HttpAggregationServer:
     async def _health_loop(self) -> None:
         """Periodically probe the shard workers and eject dead ones."""
         try:
-            while not self._draining:
+            while not self.draining:
                 await asyncio.sleep(self.health_interval_seconds)
-                if self._draining:
+                if self.draining:
                     return
                 await self.pool.check_health()
         except asyncio.CancelledError:
@@ -364,7 +346,7 @@ class HttpAggregationServer:
         Idempotent; concurrent callers all wait for the same drain to
         complete.
         """
-        self._draining = True
+        self.pool.draining = True
         if self._drained:
             return
         if self._health_task is not None:
@@ -446,7 +428,7 @@ class HttpAggregationServer:
                         _counters.HTTP_LATENCY_SECONDS, latency, route=route
                     )
                 keep_alive = (
-                    not self._draining
+                    not self.draining
                     and headers.get("connection", "").lower() != "close"
                 )
                 if (
@@ -543,7 +525,7 @@ class HttpAggregationServer:
         try:
             if path == "/healthz" and method == "GET":
                 return 200, {
-                    "status": "draining" if self._draining else "ok",
+                    "status": "draining" if self.draining else "ok",
                     "shards": len(self.pool.shard_names),
                     "mode": self.pool.mode,
                 }
@@ -573,7 +555,10 @@ class HttpAggregationServer:
                 "recovered": name in self.recovered_sessions,
             }
         return {
-            "server": self.stats.describe(),
+            "server": {
+                **self.stats.describe(),
+                "service": self.pool.stats().describe(),
+            },
             "pool": await self.pool.describe(),
             "live": live,
         }
@@ -596,28 +581,17 @@ class HttpAggregationServer:
         except AggregateRequestError as error:
             self.stats.bad_requests += 1
             return 400, {"status": "invalid", "error": str(error)}
-        if self._draining:
-            refusal = degraded_response(
-                request.request_id,
-                status="draining",
-                error="server is draining; retry against another worker",
-            )
-            # No shard saw this refusal: account it here, instruments too.
-            record_outcome(self.stats.service, refusal)
-            return status_code_for("draining"), response_payload(refusal)
         try:
             payload, _shard = await self.pool.submit(request, wire=wire)
         except ShardRejection as rejection:
-            refusal = degraded_response(
-                request.request_id, status=rejection.status, error=rejection.error
-            )
             if _telemetry.is_enabled():
                 _telemetry.count(
                     _counters.HTTP_REJECTED, reason=rejection.status
                 )
-            self.stats.service.record(refusal)
-            return status_code_for(rejection.status), response_payload(refusal)
-        self.stats.service.record(payload)
+            return (
+                status_code_for(rejection.status),
+                response_payload(rejection.response),
+            )
         return status_code_for(str(payload.get("status") or "ok")), payload
 
     # ------------------------------------------------------------------ #
@@ -633,7 +607,7 @@ class HttpAggregationServer:
         name = segments[1]
         action = segments[2] if len(segments) > 2 else None
         self.stats.live_requests += 1
-        if self._draining:
+        if self.draining:
             return 503, response_payload(
                 degraded_response(None, status="draining", error="server is draining")
             )
@@ -780,5 +754,5 @@ class HttpAggregationServer:
         )
         return (
             f"HttpAggregationServer({bind}, shards={len(self.pool.shard_names)}, "
-            f"mode={self.pool.mode!r}, draining={self._draining})"
+            f"mode={self.pool.mode!r}, draining={self.draining})"
         )

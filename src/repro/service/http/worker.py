@@ -30,15 +30,20 @@ their :func:`~repro.service.frontend.coalescing_key` matches, followers
 reporting ``source="coalesced"``; a request whose ``deadline_seconds``
 elapsed while queued inside its shard is answered ``deadline`` by
 :meth:`~repro.service.frontend.ServiceFrontend.submit` itself.  The pool
-adds bounded admission (``max_pending`` per shard), which answers excess
-load with structured ``overloaded`` refusals before anything executes.
+is the one admission point of the serving layer: before anything
+executes it refuses with a structured :class:`ShardRejection` —
+``overloaded`` at ``max_pending`` leaders per shard or with every shard
+ejected, ``draining`` once :attr:`ShardPool.draining` is set.
 
 Each shard has one accounting registry (a
-:class:`~repro.service.frontend.ServiceStats`), reported by ``GET
-/stats``: in thread mode the shard frontend's own; in process mode one on
-the driver, fed with every payload the worker returns.  Followers,
-refusals and failed dispatches are recorded into it the same way in both
-modes, through :func:`~repro.service.frontend.record_outcome`.
+:class:`~repro.service.frontend.ServiceStats`): in thread mode the shard
+frontend's own; in process mode one in the serving process, fed with every
+payload the worker returns.  The pool records followers and failed
+dispatches on the shard that answered, and refusals on the dataset's
+home shard of the full ring, through
+:func:`~repro.service.frontend.record_outcome`.  These registries are
+the only place an ``/aggregate`` answer is counted;
+:meth:`ShardPool.stats` sums them.
 
 **Failover** (process mode): a worker process that dies — SIGKILL, OOM,
 an injected ``shard.worker`` crash — surfaces driver-side as a
@@ -73,6 +78,7 @@ from .. import counters as _counters
 from ..frontend import (
     ServiceFrontend,
     ServiceRequest,
+    ServiceResponse,
     ServiceStats,
     coalescing_key,
     degraded_response,
@@ -93,21 +99,8 @@ __all__ = ["ShardPool", "ShardRejection", "DEFAULT_MAX_PENDING"]
 #: work is refused with a structured ``overloaded`` payload.
 DEFAULT_MAX_PENDING = 64
 
-
-class _EmptyRing:
-    """Stand-in routing ring while *every* shard is ejected.
-
-    Keeps the live-ring interface alive (``shards`` is empty, ``route``
-    refuses) so the dispatch path degrades to structured failures instead
-    of tripping over a ring that cannot be built with zero members.
-    """
-
-    shards: tuple[str, ...] = ()
-
-    def route(self, key: str) -> str:
-        raise ShardRejection(
-            "overloaded", "every shard is ejected; retry after a respawn"
-        )
+_DRAINING = "server is draining; retry against another worker"
+_ALL_EJECTED = "every shard is ejected; retry after a respawn"
 
 
 class ShardRejection(Exception):
@@ -115,16 +108,17 @@ class ShardRejection(Exception):
 
     Attributes
     ----------
+    response:
+        The structured refusal, already recorded in the registry of the
+        dataset's home shard.
     status:
         Degradation status (``overloaded`` / ``draining``).
-    error:
-        Human-readable refusal detail.
     """
 
-    def __init__(self, status: str, error: str):
-        super().__init__(error)
-        self.status = status
-        self.error = error
+    def __init__(self, response: ServiceResponse):
+        super().__init__(response.error)
+        self.response = response
+        self.status = response.status
 
 
 @dataclass
@@ -263,6 +257,12 @@ class ShardPool:
         Capacity of each shard's private memory cache tier.
     replicas:
         Virtual points per shard on the routing ring.
+
+    Attributes
+    ----------
+    draining:
+        Set when the server starts its graceful drain: from then on every
+        request is refused with a structured ``draining`` answer.
     """
 
     def __init__(
@@ -313,10 +313,12 @@ class ShardPool:
                 stats = ServiceStats()
             self._shards[name] = _Shard(name, executor, frontend, stats)
         # Routing happens on the *live* ring: the full ring minus ejected
-        # shards.  They are the same object until a worker dies.
-        self._live_ring = self.ring
+        # shards.  They are the same object until a worker dies; ``None``
+        # while every shard is ejected.
+        self._live_ring: ConsistentHashRing | None = self.ring
         self._respawn_tasks: set[asyncio.Task[None]] = set()
         self._closing = False
+        self.draining = False
 
     # ------------------------------------------------------------------ #
     @property
@@ -327,13 +329,14 @@ class ShardPool:
     @property
     def live_shard_names(self) -> tuple[str, ...]:
         """The shards currently in the routing ring (dead ones ejected)."""
-        return self._live_ring.shards
+        return () if self._live_ring is None else self._live_ring.shards
 
     def route(self, fingerprint: str) -> str:
         """The live shard owning one dataset content fingerprint.
 
         While a shard is ejected, its keys route to the ring successor;
-        once it respawns, they route back.
+        once it respawns, they route back.  Raises :class:`LookupError`
+        while every shard is ejected.
 
         Parameters
         ----------
@@ -341,6 +344,8 @@ class ShardPool:
             A dataset content fingerprint
             (:meth:`~repro.datasets.Dataset.content_fingerprint`).
         """
+        if self._live_ring is None:
+            raise LookupError(_ALL_EJECTED)
         return self._live_ring.route(fingerprint)
 
     def worker_pids(self) -> dict[str, int | None]:
@@ -397,14 +402,16 @@ class ShardPool:
 
         The single dispatch path behind ``POST /aggregate``:
 
-        1. route by the dataset's content fingerprint;
+        1. refuse while :attr:`draining` or while every shard is ejected,
+           else route by the dataset's content fingerprint;
         2. coalesce — a request with the same
            :func:`~repro.service.frontend.coalescing_key` already in
            flight on the shard makes this one a follower that awaits the
            leader's answer and reports ``coalesced``;
         3. admit — a shard at ``max_pending`` leaders refuses with a
-           structured ``overloaded`` answer (raised as
-           :class:`ShardRejection` for the server to answer);
+           structured ``overloaded`` answer.  Every refusal is recorded
+           in the home shard's registry and raised as
+           :class:`ShardRejection` for the server to answer;
         4. execute through the shard frontend's
            :meth:`~repro.service.frontend.ServiceFrontend.submit`, which
            checks the request's deadline against its queue wait;
@@ -422,6 +429,10 @@ class ShardPool:
             instead of pickling the request; re-encoded when absent).
         """
         fingerprint = request.dataset.content_fingerprint()
+        if self.draining:
+            raise self._refusal(request, fingerprint, "draining", _DRAINING)
+        if self._live_ring is None:
+            raise self._refusal(request, fingerprint, "overloaded", _ALL_EJECTED)
         shard = self._shards[self._live_ring.route(fingerprint)]
         shard.routed += 1
         if _telemetry.is_enabled():
@@ -443,15 +454,13 @@ class ShardPool:
             return response_payload(follower, shard=shard.name), shard.name
 
         if shard.pending >= self.max_pending:
-            error = (
+            raise self._refusal(
+                request,
+                fingerprint,
+                "overloaded",
                 f"{shard.name} admission queue full "
-                f"({shard.pending} pending, max_pending={self.max_pending})"
+                f"({shard.pending} pending, max_pending={self.max_pending})",
             )
-            refusal = degraded_response(
-                request.request_id, status="overloaded", error=error
-            )
-            record_outcome(shard.stats, refusal)
-            raise ShardRejection("overloaded", error)
 
         loop = asyncio.get_running_loop()
         # One future for the whole failover episode: followers coalesced
@@ -480,7 +489,7 @@ class ShardPool:
                     # successor, keep the same leader future.
                     self._eject(shard)
                     attempt += 1
-                    if not self._live_ring.shards or attempt > len(self._shards):
+                    if self._live_ring is None or attempt > len(self._shards):
                         payload = self._fail(
                             shard,
                             request,
@@ -511,6 +520,14 @@ class ShardPool:
                     del owner.inflight[key]
             future.set_result(payload)
         return payload, shard.name
+
+    def _refusal(
+        self, request: ServiceRequest, fingerprint: str, status: str, error: str
+    ) -> ShardRejection:
+        """A refusal before dispatch, recorded on the home shard."""
+        refusal = degraded_response(request.request_id, status=status, error=error)
+        record_outcome(self._shards[self.ring.route(fingerprint)].stats, refusal)
+        return ShardRejection(refusal)
 
     @staticmethod
     def _fail(shard: _Shard, request: ServiceRequest, error: str) -> dict[str, Any]:
@@ -571,7 +588,7 @@ class ShardPool:
         elif survivors:
             self._live_ring = self.ring.with_shards(survivors)
         else:
-            self._live_ring = _EmptyRing()
+            self._live_ring = None
 
     def _eject(self, shard: _Shard) -> None:
         """Remove a dead shard from the live ring and schedule its respawn."""
@@ -656,6 +673,17 @@ class ShardPool:
         return verdicts
 
     # ------------------------------------------------------------------ #
+    def stats(self) -> ServiceStats:
+        """Every shard registry summed, ejected shards included.
+
+        ``GET /stats`` reports it as ``server.service`` and ``serve-http``
+        prints it when drained; it reads the serving process's state only.
+        """
+        total = ServiceStats()
+        for shard in self._shards.values():
+            total.merge(shard.stats)
+        return total
+
     async def describe(self) -> dict[str, Any]:
         """Pool topology, per-shard routing counters and accounting.
 

@@ -23,40 +23,6 @@ def other_dataset():
     return uniform_dataset(4, 7, rng=12, name="svc2")
 
 
-class TestBoundedAdmission:
-    def test_requests_beyond_max_queue_are_rejected(self, dataset, other_dataset):
-        frontend = ServiceFrontend(
-            None, default_budget_seconds=0.2, max_queue=2
-        )
-        datasets = [dataset, other_dataset, dataset, other_dataset]
-        responses = frontend.submit_batch(
-            [ServiceRequest(d, request_id=str(i)) for i, d in enumerate(datasets)]
-        )
-        assert [response.request_id for response in responses] == ["0", "1", "2", "3"]
-        admitted, rejected = responses[:2], responses[2:]
-        assert all(response.status == "ok" for response in admitted)
-        assert all(response.consensus is not None for response in admitted)
-        for response in rejected:
-            assert response.status == "overloaded"
-            assert response.source == "rejected"
-            assert response.consensus is None and response.score is None
-            assert not response.succeeded
-            assert "admission queue full (2 of 4 requests admitted)" == response.error
-        stats = frontend.stats()
-        assert stats.rejected == 2
-        assert stats.describe()["rejected"] == 2
-
-    def test_max_queue_validation(self):
-        with pytest.raises(ValueError, match="max_queue"):
-            ServiceFrontend(None, max_queue=0)
-
-    def test_batch_within_bound_is_untouched(self, dataset):
-        frontend = ServiceFrontend(None, default_budget_seconds=0.2, max_queue=8)
-        responses = frontend.submit_batch([ServiceRequest(dataset)] * 2)
-        assert all(response.status == "ok" for response in responses)
-        assert frontend.stats().rejected == 0
-
-
 class TestPerRequestDeadlines:
     def test_expired_deadline_rejects_before_execution(self, dataset):
         frontend = ServiceFrontend(None, default_budget_seconds=0.2)

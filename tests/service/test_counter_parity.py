@@ -66,15 +66,15 @@ def test_http_layer_records_into_the_same_service_instruments(tmp_path):
 
     with runtime.session() as inprocess:
         frontend = ServiceFrontend(
-            str(tmp_path / "inproc"),
-            default_budget_seconds=0.05,
-            seed=11,
-            max_queue=1,
+            str(tmp_path / "inproc"), default_budget_seconds=0.05, seed=11
         )
-        answered, refused = frontend.submit_batch(
-            [ServiceRequest(dataset), ServiceRequest(other)]
+        answered = frontend.submit(ServiceRequest(dataset))
+        # Admission is the socket path's alone; the in-process refusal is
+        # a deadline that expired in the queue.
+        refused = frontend.submit(
+            ServiceRequest(other, deadline_seconds=0.01), queue_seconds=0.02
         )
-        assert answered.status == "ok" and refused.status == "overloaded"
+        assert answered.status == "ok" and refused.status == "deadline"
         inprocess_names = _service_instruments(inprocess)
     runtime.disable()
 

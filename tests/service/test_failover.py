@@ -16,9 +16,11 @@ import signal
 import pytest
 
 from repro.generators import uniform_dataset
+from repro.service import counters
 from repro.service.frontend import ServiceRequest
 from repro.service.http import AsyncHttpClient, HttpAggregationServer
 from repro.service.http.worker import ShardPool
+from repro.telemetry import runtime
 from repro.testing.faults import ENV_VAR, FaultInjector, FaultRule
 
 
@@ -188,10 +190,21 @@ def test_all_shards_dead_answers_structured_overload(tmp_path):
                 ServiceRequest(dataset=dataset, budget_seconds=0.05)
             )
             assert payload["status"] == "ok"
+            # Every answer, the refusal included, is counted once in the
+            # home shard's registry.
+            registry = (await pool.describe())["by_shard"]["shard-0"]["frontend"]
+            assert registry["requests"] == 3
+            assert registry["failed"] == 1
+            assert registry["rejected"] == 1
+            assert pool.stats().describe()["rejected"] == 1
         finally:
             pool.shutdown()
 
-    asyncio.run(scenario())
+    with runtime.session() as active:
+        asyncio.run(scenario())
+    rejected = active.metrics.get(counters.SERVICE_REJECTED)
+    assert rejected is not None
+    assert rejected.value(reason="overloaded") == 1
 
 
 def test_http_server_survives_worker_sigkill(tmp_path):

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import bisect
+import gc
+import math
+import random
+import sys
+import types
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core.kemeny import generalized_kemeny_score
 from repro.engine import ResultCache, TieredResultCache
 from repro.generators import markov_dataset, uniform_dataset
-from repro.service import ServiceFrontend, ServiceRequest
+from repro.service import ServiceFrontend, ServiceRequest, ServiceStats
+from repro.telemetry.metrics import DEFAULT_LATENCY_BUCKETS
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +175,138 @@ class TestStats:
         frontend = ServiceFrontend(tmp_path / "cache", memory_entries=3)
         assert isinstance(frontend.cache, TieredResultCache)
         assert frontend.cache.memory.max_entries == 3
+
+
+def _outcomes(count: int, seed: int) -> list[dict]:
+    """Seeded wire payloads covering every outcome kind."""
+    rng = random.Random(seed)
+    kinds = [
+        ("ok", "computed"), ("ok", "memory"), ("ok", "disk"), ("ok", "coalesced"),
+        ("overloaded", "rejected"), ("draining", "rejected"),
+        ("deadline", "rejected"), ("failed", "error"),
+    ]
+    outcomes = []
+    for _ in range(count):
+        status, source = rng.choice(kinds)
+        queue = rng.expovariate(500.0)
+        execution = rng.expovariate(50.0)
+        outcomes.append({
+            "status": status, "source": source, "error": None,
+            "queue_seconds": queue, "execution_seconds": execution,
+            "latency_seconds": queue + execution,
+        })
+    return outcomes
+
+
+def _stats_of(outcomes: list[dict]) -> ServiceStats:
+    stats = ServiceStats()
+    for outcome in outcomes:
+        stats.record(outcome)
+    return stats
+
+
+def _held_items(root) -> int:
+    """Items of every container reachable from ``root`` (types skipped)."""
+    seen, stack, total = set(), [root], 0
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(item, (type, types.ModuleType)):
+            continue
+        seen.add(id(item))
+        if isinstance(item, (list, tuple, dict, set, frozenset)):
+            total += len(item)
+        stack.extend(gc.get_referents(item))
+    return total
+
+
+class TestServiceStatsRegistry:
+    """ServiceStats keeps constant-size counters and histograms."""
+
+    def test_holds_no_per_answer_container(self):
+        stats = ServiceStats()
+        outcome = _outcomes(1, seed=1)[0]
+        for recorded in (1_000, 100_000):
+            while stats.requests < recorded:
+                stats.record(outcome)
+            if recorded == 1_000:
+                held = _held_items(stats)
+        assert stats.requests == 100_000
+        assert _held_items(stats) == held
+        assert held < 1_000
+
+    def test_counts_mean_and_max_are_exact(self):
+        outcomes = _outcomes(5_000, seed=2)
+        payload = _stats_of(outcomes).describe()
+        kinds = {
+            "computed": ("ok", "computed"), "memory_hits": ("ok", "memory"),
+            "disk_hits": ("ok", "disk"), "coalesced": ("ok", "coalesced"),
+            "deadline_misses": ("deadline", "rejected"), "failed": ("failed", "error"),
+        }
+        for key, (status, source) in kinds.items():
+            assert payload[key] == sum(
+                o["status"] == status and o["source"] == source for o in outcomes
+            ), key
+        assert payload["rejected"] == sum(
+            o["status"] in ("overloaded", "draining") for o in outcomes
+        )
+        assert payload["requests"] == len(outcomes)
+        for prefix, field in (
+            ("latency", "latency_seconds"),
+            ("queue", "queue_seconds"),
+            ("execution", "execution_seconds"),
+        ):
+            sample = [o[field] for o in outcomes]
+            assert payload[f"{prefix}_mean_seconds"] == pytest.approx(
+                sum(sample) / len(sample), rel=1e-12
+            )
+            assert payload[f"{prefix}_max_seconds"] == max(sample)
+
+    @pytest.mark.parametrize("fraction", [0.50, 0.95])
+    def test_percentile_falls_in_the_true_quantile_bucket(self, fraction):
+        outcomes = _outcomes(5_000, seed=3)
+        estimate = _stats_of(outcomes).describe()[
+            f"latency_p{round(fraction * 100)}_seconds"
+        ]
+        ordered = sorted(o["latency_seconds"] for o in outcomes)
+        true = ordered[math.ceil(fraction * len(ordered)) - 1]
+        bounds = DEFAULT_LATENCY_BUCKETS
+        index = bisect.bisect_left(bounds, true)
+        lower = bounds[index - 1] if index > 0 else 0.0
+        upper = bounds[index] if index < len(bounds) else ordered[-1]
+        assert lower <= estimate <= upper
+
+    def test_concurrent_recording_loses_no_answer(self):
+        # A thread-mode shard's executor and the event loop record into one
+        # registry at once.
+        outcomes = _outcomes(2_000, seed=6)
+        stats = ServiceStats()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(lambda: [stats.record(o) for o in outcomes])
+                    for _ in range(4)
+                ]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        payload = stats.describe()
+        assert payload["requests"] == 4 * len(outcomes)
+        counted = sum(payload[key] for key in (
+            "computed", "memory_hits", "disk_hits", "coalesced",
+            "rejected", "deadline_misses", "failed",
+        ))
+        assert counted == 4 * len(outcomes)
+
+    def test_merge_equals_one_registry_fed_both_streams(self):
+        first, second = _outcomes(2_000, seed=4), _outcomes(3_000, seed=5)
+        merged = _stats_of(first)
+        merged.merge(_stats_of(second))
+        assert merged.describe() == pytest.approx(
+            _stats_of(first + second).describe(), rel=1e-12
+        )
 
 
 class TestLatencySplit:

@@ -21,7 +21,9 @@ import pytest
 
 from repro.datasets.io import dumps, format_ranking
 from repro.generators import uniform_dataset
+from repro.service import counters
 from repro.service.http import AsyncHttpClient, HttpAggregationServer
+from repro.telemetry import runtime
 from repro.testing.faults import ENV_VAR, FaultInjector, FaultRule
 
 
@@ -143,7 +145,7 @@ def test_failed_dispatch_answers_500_with_source_error(tmp_path, monkeypatch):
             assert payload["error"].startswith("TransientRunError:")
             stats = server.pool.frontend_of("shard-0").describe()
             assert stats["failed"] == 1
-            assert server.stats.service.failed == 1
+            assert server.pool.stats().failed == 1
         finally:
             await client.close()
             await server.drain()
@@ -177,7 +179,7 @@ def test_deadline_expires_in_shard_queue(tmp_path):
                 server.pool.frontend_of("shard-0").describe()["deadline_misses"]
                 == 1
             )
-            assert server.stats.service.deadline_misses == 1
+            assert server.pool.stats().deadline_misses == 1
         finally:
             await blocker_client.close()
             await late_client.close()
@@ -203,7 +205,7 @@ def test_full_queue_answers_structured_overloaded(tmp_path):
             assert "max_pending=1" in payload["error"]
             blocker_code, _ = await blocker_task
             assert blocker_code == 200
-            assert server.stats.service.rejected == 1
+            assert server.pool.stats().rejected == 1
             assert server.pool.frontend_of("shard-0").describe()["rejected"] == 1
         finally:
             await blocker_client.close()
@@ -295,12 +297,20 @@ def test_graceful_drain_completes_inflight_requests(tmp_path):
             assert payload["consensus"] is not None
             await drain_task
             assert server.draining
-            assert server.stats.service.rejected == 1
+            # The refusal is counted once, in the home shard's registry.
+            assert server.pool.stats().rejected == 1
+            assert server.pool.frontend_of("shard-0").stats().rejected == 1
         finally:
             await slow_client.close()
             await bystander.close()
 
-    asyncio.run(scenario())
+    with runtime.session() as active:
+        asyncio.run(scenario())
+    # A drain refusal ticks the same instruments an overload refusal does.
+    assert active.metrics.get(counters.HTTP_REJECTED).value(reason="draining") == 1
+    assert (
+        active.metrics.get(counters.SERVICE_REJECTED).value(reason="draining") == 1
+    )
 
 
 def test_process_mode_serves_and_caches(tmp_path):

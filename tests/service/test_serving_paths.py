@@ -36,6 +36,17 @@ ALGORITHMS = ("BordaCount", "KwikSort")
 # Two datasets on each shard of a two-shard ring.
 DATASETS = [uniform_dataset(7, 30, rng) for rng in (3, 6, 8, 9)]
 COPIES = 2
+# The count fields of a ``ServiceStats.describe()`` registry.
+COUNTS = (
+    "requests",
+    "computed",
+    "memory_hits",
+    "disk_hits",
+    "coalesced",
+    "rejected",
+    "deadline_misses",
+    "failed",
+)
 
 
 def _requests(copies: int) -> list[ServiceRequest]:
@@ -173,4 +184,15 @@ def test_socket_paths_match_and_shard_stats_count_every_answer(
             p["source"] == "coalesced" for p in mine
         )
         assert registry["rejected"] == sum(p["source"] == "rejected" for p in mine)
-    assert stats["server"]["service"]["requests"] == len(payloads)
+    # server.service is the field-wise sum of the shard registries.
+    registries = [entry["frontend"] for entry in stats["pool"]["by_shard"].values()]
+    service = stats["server"]["service"]
+    assert service["requests"] == len(payloads)
+    for key in COUNTS:
+        assert service[key] == sum(registry[key] for registry in registries), key
+    for key in ("latency_max_seconds", "queue_max_seconds", "execution_max_seconds"):
+        assert service[key] == max(registry[key] for registry in registries), key
+    for key in ("latency_mean_seconds", "queue_mean_seconds", "execution_mean_seconds"):
+        assert service[key] == pytest.approx(
+            sum(r[key] * r["requests"] for r in registries) / service["requests"]
+        ), key
