@@ -6,7 +6,11 @@ oracles (``tests/oracles``):
 
 * **BioConsert** end-to-end aggregation, the seed list-of-buckets sweep
   (``BioConsertOracle``) against the bucket-id vector + segment sums;
-* **Chanas** end-to-end aggregation, list vs. array sort passes;
+* **Chanas** end-to-end aggregation, the element-by-element list sort pass
+  (``ChanasOracle``) against the gap-cost table;
+* **chanas-warm** at (n=200, m=50), a completed warm-started Chanas run
+  after one ranking is replaced — the search a live repair runs — on the
+  same two sort passes;
 * **pairwise_distance_matrix**, the per-pair oracle loop against the
   batched all-pairs tensor kernel;
 * **bioconsert-multistart** at (n=100, m=50), the lockstep lanes of
@@ -23,9 +27,10 @@ At ``REPRO_BENCH_SCALE=default`` (and above) the grid includes the
 acceptance cells of the PR that introduced the array layer — BioConsert at
 (n=200, m=20) must be ≥ 5× faster than the seed kernel and
 ``pairwise_distance_matrix`` over 50 rankings of n=200 must be ≥ 10×
-faster, and the lockstep multi-start BioConsert at (n=100, m=50) must be
-≥ 3× faster than its starts run one at a time — and the run fails if those
-floors regress.  The ``smoke`` grid
+faster, the lockstep multi-start BioConsert at (n=100, m=50) must be
+≥ 3× faster than its starts run one at a time, and Chanas at (n=200, m=20)
+must be ≥ 2× faster than its oracle — and the run fails if those floors
+regress.  The ``smoke`` grid
 keeps CI runs in seconds and does not assert speedup floors (shared CI
 runners make absolute timings unreliable), only output equality.
 
@@ -80,6 +85,8 @@ _DISTANCE_GRID = {
 }
 # The lockstep multi-start cell (n, m): every scale runs it.
 _MULTISTART_CELL = (100, 50)
+# The warm-started Chanas cell (n, m): every scale runs it.
+_CHANAS_WARM_CELL = (200, 50)
 # Speedup floors (vs. the seed implementation, or vs. one start at a time
 # for the multi-start cell) asserted per acceptance cell at scale "default"
 # and above.
@@ -87,6 +94,7 @@ _SPEEDUP_FLOORS = {
     ("bioconsert", 200, 20): 5.0,
     ("pairwise_distance_matrix", 200, 50): 10.0,
     ("bioconsert-multistart", 100, 50): 3.0,
+    ("chanas", 200, 20): 2.0,
 }
 
 
@@ -241,6 +249,49 @@ def _bench_multistart(bench_seed: int):
     ]
 
 
+def _warm_chanas_run(algorithm, rankings, weights, initial):
+    """A completed warm-started anytime run: the ``initial`` trajectory,
+    then the cold Borda one, as a live repair without a budget runs them."""
+    controller = algorithm.begin_anytime(rankings, weights, initial=initial)
+    while controller.step():
+        pass
+    return controller.result()
+
+
+def _bench_chanas_warm(bench_seed: int):
+    n, m = _CHANAS_WARM_CELL
+    dataset = uniform_dataset(m, n, rng=bench_seed + 3, name=f"kern_chanas_warm_n{n}_m{m}")
+    rankings = list(dataset.rankings)
+    previous = Chanas().aggregate(rankings).consensus
+    rankings[0] = uniform_dataset(1, n, rng=bench_seed + 4, name="replacement").rankings[0]
+    weights = PairwiseWeights(rankings)
+    arrays, reference = Chanas(), ChanasOracle()
+    result = _warm_chanas_run(arrays, rankings, weights, previous)  # warm-up + output check
+    result_reference = _warm_chanas_run(reference, rankings, weights, previous)
+    assert result.consensus.buckets == result_reference.consensus.buckets
+    assert result.score == result_reference.score
+    assert result.details["steps"] == result_reference.details["steps"]
+    repeats = 3
+    seconds_arrays = _median_seconds(
+        lambda: _warm_chanas_run(arrays, rankings, weights, previous), repeats
+    )
+    seconds_reference = _median_seconds(
+        lambda: _warm_chanas_run(reference, rankings, weights, previous), repeats
+    )
+    return [
+        {
+            "kernel": "chanas-warm",
+            "n": n,
+            "m": m,
+            "seconds_reference_median": seconds_reference,
+            "seconds_arrays_median": seconds_arrays,
+            "speedup": seconds_reference / seconds_arrays,
+            "identical_output": True,
+            "repeats": repeats,
+        }
+    ]
+
+
 def run_kernel_benchmark(scale_name: str, bench_seed: int = 2015) -> dict:
     """Run the full grid for ``scale_name`` and return the JSON payload."""
     local_grid = _LOCAL_SEARCH_GRID.get(scale_name, _LOCAL_SEARCH_GRID["smoke"])
@@ -254,6 +305,7 @@ def run_kernel_benchmark(scale_name: str, bench_seed: int = 2015) -> dict:
     )
     cells += _bench_distance_matrix(distance_grid, bench_seed)
     cells += _bench_multistart(bench_seed)
+    cells += _bench_chanas_warm(bench_seed)
     payload = {
         "schema": "repro-bench-kernels/1",
         "scale": scale_name,

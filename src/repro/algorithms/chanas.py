@@ -22,9 +22,19 @@ These algorithms are Kendall-τ based (family [K]) and cannot handle ties
 through the generalized pairwise weights) but the output is always a
 permutation and the cost of (un)tying is ignored during the search.
 
-The sort pass keeps the permutation as a dense index vector and applies
-every insertion move with vectorised delete/insert; cost ties go to the
-first (earliest) insertion point.
+**The sort pass over a gap-cost table.**  The permutation is a dense index
+vector, and next to it the pass keeps an int64 table of shape (n+1) × n:
+``table[k, e]`` is element ``e``'s pairwise cost if it sat in gap ``k`` of
+the current permutation.  One cumulative sum builds it per pass-to-fixpoint
+call.  Positions are scanned in blocks of ``_SCAN_BLOCK``: one vectorised
+test finds the first element of a block with a cheaper gap than its own,
+and that element moves to its first (earliest) cheapest gap, so cost ties
+go to the earliest insertion point.  A move updates only the gaps it
+crosses, with one shifted-slice add of the moved element's cost-difference
+row.  Elements without an improving move — most of them once the search
+is warm — cost a share of one block test instead of a cost profile each.
+The trajectory is exactly that of the element-by-element pass kept as the
+test suite's oracle (``tests/oracles/chanas.py``).
 """
 
 from __future__ import annotations
@@ -55,6 +65,16 @@ class Chanas(RankAggregator):
     randomized = False
 
     def __init__(self, *, max_rounds: int = 50, seed: int | None = None):
+        """
+        Parameters
+        ----------
+        max_rounds:
+            Cap on the number of sort-to-fixpoint rounds per starting order
+            (the alternation stops earlier once a round no longer improves).
+            An ``int`` ≥ 0.
+        """
+        if isinstance(max_rounds, bool) or not isinstance(max_rounds, int) or max_rounds < 0:
+            raise ValueError(f"max_rounds must be an int >= 0, got {max_rounds!r}")
         super().__init__(seed=seed)
         self._max_rounds = max_rounds
 
@@ -225,6 +245,10 @@ class ChanasBoth(Chanas):
 # --------------------------------------------------------------------------- #
 # Permutation-level helpers
 # --------------------------------------------------------------------------- #
+# Positions tested per vectorised step of the sort pass's scan.
+_SCAN_BLOCK = 32
+
+
 def _permutation_cost(order: Sequence[int], cost_before: np.ndarray) -> int:
     """Kendall-τ style cost of a permutation given the pairwise cost matrix."""
     indices = np.asarray(order, dtype=np.intp)
@@ -237,58 +261,60 @@ def _sort_pass_to_fixpoint(order: list[int], cost_before: np.ndarray) -> list[in
 
     One pass considers each element in turn and moves it to the position
     (among all insertion points) that minimises its pairwise cost with the
-    rest of the permutation — the classic "sort" operation of Chanas.
+    rest of the permutation — the classic "sort" operation of Chanas.  Cost
+    ties go to the first (earliest) insertion point.
 
-    The permutation lives in a dense index vector; the insertion-cost
-    profile comes from two cumulative sums over the element's cost
-    rows/columns (each gathered with one contiguous fancy-indexing), the
-    element's removal is realised by dropping one prefix boundary from the
-    full-permutation profile, and an accepted move rebuilds the vector with
-    a single slice concatenation — no per-element Python list surgery.
+    The pass runs on a gap-cost table ``table[k, e]``: the pairwise cost of
+    element ``e`` if it sat in gap ``k`` (before position ``k``) of the
+    current permutation, built once per call from one cumulative sum.  The
+    element at position ``q`` sits in both gaps ``q`` and ``q + 1`` (its
+    cost against itself is zero), so its insertion profile over the rest of
+    the permutation is its column without row ``q + 1``.  Positions are
+    scanned ``_SCAN_BLOCK`` at a time: one gather tests "best gap < own
+    gap" for the whole block, and the scan jumps to the first element with
+    an improving move.  Moving ``y`` from position ``q`` to ``b`` changes
+    only the gaps it crosses, each by the row ``shift[y]``: one shifted
+    slice add on the table and one slice shift on the permutation.
     """
-    current = np.asarray(order, dtype=np.intp)
+    current = np.array(order, dtype=np.intp)
     n = current.shape[0]
-    # Row-major copies make both per-element gathers contiguous row reads.
-    cost_after_rows = np.ascontiguousarray(cost_before.T)
+    # shift[y, e]: change of e's gap cost when y leaves the prefix before
+    # that gap (e no longer pays for y before it, pays for y after it).
+    shift = cost_before.T - cost_before
+    table = np.empty((n + 1, n), dtype=np.int64)
+    table[0] = cost_before.sum(axis=1)  # gap 0: every element after e
+    np.cumsum(-shift[current], axis=0, out=table[1:])
+    table[1:] += table[0]
+    offsets = np.arange(_SCAN_BLOCK)
     improved = True
     while improved:
         improved = False
-        for position in range(n):
-            element = current[position]
-            # Gathers over the *full* permutation: the element's own cost
-            # against itself is zero (zero-diagonal cost matrix), so the
-            # without-element profile is recovered by dropping one prefix
-            # boundary below instead of rebuilding the index vector.
-            cost_if_after = cost_after_rows[element][current]   # other before element
-            cost_if_before = cost_before[element][current]      # element before other
-            prefix = np.concatenate(([0], np.cumsum(cost_if_after)))
-            suffix = np.concatenate((np.cumsum(cost_if_before[::-1])[::-1], [0]))
-            # costs[p] = insertion cost into the permutation without the
-            # element, with rest[:p] before it; dropping entry position+1
-            # of the full-profile sums realises the removal exactly.
-            full_costs = prefix + suffix
-            costs = np.concatenate((full_costs[: position + 1], full_costs[position + 2 :]))
-            best_position = int(np.argmin(costs))
-            if costs[best_position] < costs[position]:
-                element_slice = current[position : position + 1]
-                if best_position < position:
-                    current = np.concatenate(
-                        (
-                            current[:best_position],
-                            element_slice,
-                            current[best_position:position],
-                            current[position + 1 :],
-                        )
-                    )
-                else:
-                    current = np.concatenate(
-                        (
-                            current[:position],
-                            current[position + 1 : best_position + 1],
-                            element_slice,
-                            current[best_position + 1 :],
-                        )
-                    )
-                improved = True
+        position = 0
+        while position < n:
+            block = current[position : position + _SCAN_BLOCK]
+            width = block.shape[0]
+            gaps = table[:, block]
+            columns = offsets[:width]
+            own = gaps[columns + position, columns]
+            movers = np.flatnonzero(gaps.min(axis=0) < own)
+            if movers.shape[0] == 0:
+                position += width
+                continue
+            index = int(movers[0])
+            source = position + index
+            element = int(block[index])
+            # First minimum over all n + 1 gaps; never the element's own
+            # gaps source/source+1, whose cost is above the minimum.
+            target = int(gaps[:, index].argmin())
+            if target < source:
+                table[target + 1 : source + 1] = table[target:source] - shift[element]
+                current[target + 1 : source + 1] = current[target:source]
+                current[target] = element
+            else:
+                target -= 1  # insertion point counted without the element
+                table[source + 1 : target + 1] = table[source + 2 : target + 2] + shift[element]
+                current[source:target] = current[source + 1 : target + 1]
+                current[target] = element
+            improved = True
+            position = source + 1
     return [int(index) for index in current]
-

@@ -54,7 +54,13 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
 
 
 def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, str], ...]:
-    """Canonical hashable form of a label set."""
+    """Canonical hashable form of a label set.
+
+    The empty label set (every unlabelled ``inc``/``observe``) is the shared
+    empty tuple, without building and sorting a generator.
+    """
+    if not labels:
+        return ()
     return tuple(sorted((key, str(value)) for key, value in labels.items()))
 
 

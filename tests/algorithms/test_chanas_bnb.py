@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.algorithms import BranchAndBound, Chanas, ChanasBoth, PickAPerm
-from repro.core import Ranking, kemeny_score
+from repro.core import PairwiseWeights, Ranking, kemeny_score
 
 
 class TestChanas:
@@ -40,6 +41,23 @@ class TestChanasBoth:
         both = ChanasBoth().aggregate(permutation_example_rankings)
         pick = PickAPerm().aggregate(permutation_example_rankings)
         assert both.score <= pick.score
+
+
+@pytest.mark.parametrize("algorithm", [Chanas, ChanasBoth])
+@pytest.mark.parametrize("max_rounds", [-1, True, False, 2.5, 3.0, "3", None, np.int64(3)])
+def test_max_rounds_must_be_a_non_negative_int(algorithm, max_rounds):
+    """Negative caps, bools, floats, strings and NumPy integers are rejected
+    at construction, not at the first aggregate (or silently)."""
+    with pytest.raises(ValueError, match="max_rounds must be an int >= 0"):
+        algorithm(max_rounds=max_rounds)
+
+
+@pytest.mark.parametrize("algorithm", [Chanas, ChanasBoth])
+def test_zero_max_rounds_runs_no_sort_pass(algorithm, permutation_example_rankings):
+    """``max_rounds=0`` is valid: every start is its own only candidate."""
+    rankings = permutation_example_rankings
+    stream = list(algorithm(max_rounds=0)._anytime_candidates(rankings, PairwiseWeights(rankings)))
+    assert len(stream) == (1 if algorithm is Chanas else len(rankings) + 1)
 
 
 class TestBranchAndBound:

@@ -6,23 +6,33 @@ local searches — run on dense bucket-id vectors and batched tensor ops.  The c
 the same move selection and tie-breaking as the scalar reference
 implementations in :mod:`oracles` on any dataset.  This suite drives both
 over random datasets with ties (n up to ~60 elements, m up to ~15
-rankings) and asserts equality.
+rankings) and asserts equality.  The Chanas anytime streams, cold and
+warm-started, are compared candidate by candidate up to n ≈ 70, across the
+sort pass's scan blocks, and a live session's Chanas repair against the
+oracle's warm-started run.
 """
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import BioConsert, BordaCount, Chanas, ChanasBoth
+from repro.algorithms.anytime import run_anytime
 from repro.core import (
+    LiveDataset,
     PairwiseWeights,
     Ranking,
     generalized_kemeny_score,
     generalized_kendall_tau_distance,
     pairwise_distance_matrix,
 )
+from repro.service import LiveAggregationSession
 
 from oracles import (
     BioConsertOracle,
@@ -278,3 +288,151 @@ def test_chanas_both_kernels_follow_identical_trajectories(params):
     result_reference = ChanasBothOracle().aggregate(rankings)
     assert result_arrays.consensus == result_reference.consensus
     assert result_arrays.score == result_reference.score
+
+
+# Chanas streams: sizes up to ~70 cross the sort pass's 32-position scan
+# blocks and their remainders (and include n = 1 and 2).
+chanas_params = st.tuples(
+    st.integers(min_value=1, max_value=70),   # n elements
+    st.integers(min_value=1, max_value=12),   # m rankings
+    st.integers(min_value=0, max_value=2**32 - 1),  # rng seed
+)
+# Wall-clock limit of one stream comparison; the sizes above finish in
+# well under a second.
+_STREAM_SECONDS = 30
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise ``TimeoutError`` in the body after ``seconds``: a sort pass
+    whose gap-cost table drifts from its permutation can keep finding
+    "improving" moves forever, and that must fail, not hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no fixpoint within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_chanas_stream_matches_oracle(algorithm, oracle, rankings, initial=None) -> None:
+    """Same anytime candidates, step for step, and the same final result."""
+    with time_limit(_STREAM_SECONDS):
+        weights = PairwiseWeights(rankings)
+        stream = algorithm()._anytime_candidates(rankings, weights, initial=initial)
+        stream_reference = oracle()._anytime_candidates(rankings, weights, initial=initial)
+        assert [c.buckets for c in stream] == [c.buckets for c in stream_reference]
+
+        kwargs = {} if initial is None else {"initial": initial}
+        controllers = [
+            kind().begin_anytime(rankings, weights, **kwargs) for kind in (algorithm, oracle)
+        ]
+        while True:
+            advanced = [controller.step() for controller in controllers]
+            assert advanced[0] == advanced[1]
+            assert controllers[0].best_score == controllers[1].best_score
+            assert controllers[0].best_so_far().buckets == controllers[1].best_so_far().buckets
+            if not advanced[0]:
+                break
+        results = [kind().aggregate(rankings) for kind in (algorithm, oracle)]
+        assert results[0].consensus.buckets == results[1].consensus.buckets
+        assert results[0].score == results[1].score
+
+
+def mirrored(rankings: list[Ranking]) -> list[Ranking]:
+    """Every ranking and its reverse, after one extra copy of the first.
+
+    The mirrored pairs make every pair cost the same both ways; the extra
+    ranking breaks some of those ties, so the gap costs tie widely and the
+    earliest cheapest gap must win."""
+    result = [rankings[0]]
+    for ranking in rankings:
+        result += [ranking, Ranking(list(reversed(ranking.buckets)))]
+    return result
+
+
+@pytest.mark.parametrize("algorithm, oracle", [(Chanas, ChanasOracle), (ChanasBoth, ChanasBothOracle)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_chanas_streams_on_one_and_two_elements(algorithm, oracle, n):
+    rankings = [Ranking([[0], [1]][:n]), Ranking([[1], [0]][2 - n :])]
+    assert_chanas_stream_matches_oracle(algorithm, oracle, rankings)
+    assert_chanas_stream_matches_oracle(algorithm, oracle, rankings, rankings[1])
+
+
+@pytest.mark.parametrize("algorithm, oracle", [(Chanas, ChanasOracle), (ChanasBoth, ChanasBothOracle)])
+@pytest.mark.parametrize("n", [5, 33, 70])
+def test_chanas_streams_on_identical_and_all_tied_inputs(algorithm, oracle, n):
+    """Identical inputs and all-tied inputs (every gap costs the same)."""
+    permutation = Ranking([[int(e)] for e in np.random.default_rng(n).permutation(n)])
+    all_tied = Ranking([list(range(n))])
+    warm = random_ranking(n, n)
+    for rankings in ([permutation] * 3, [all_tied] * 2, [all_tied, permutation]):
+        assert_chanas_stream_matches_oracle(algorithm, oracle, rankings)
+        assert_chanas_stream_matches_oracle(algorithm, oracle, rankings, warm)
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 64, 65, 70])
+def test_chanas_streams_across_scan_blocks(n):
+    """Block edges and remainders, cold and warm, with and without the
+    widespread cost ties of a mirrored dataset."""
+    rankings = make_dataset((n, 5, n))
+    warm = random_ranking(n, n + 1)
+    for dataset in (rankings, mirrored(rankings)):
+        assert_chanas_stream_matches_oracle(Chanas, ChanasOracle, dataset)
+        assert_chanas_stream_matches_oracle(Chanas, ChanasOracle, dataset, warm)
+    assert_chanas_stream_matches_oracle(ChanasBoth, ChanasBothOracle, rankings[:3], warm)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_live_chanas_repair_matches_oracle_warm_run(seed):
+    """A live session's warm repair after an update is the oracle's
+    warm-started completed run on the same snapshot."""
+    rankings = make_dataset((66, 9, seed))
+    session = LiveAggregationSession(LiveDataset(rankings, name="chanas-live"), algorithm="Chanas")
+    session.repair()
+    previous = session.consensus
+    session.update_ranking(2, random_ranking(66, seed + 10))
+    with time_limit(_STREAM_SECONDS):
+        report = session.repair()
+        expected = run_anytime(ChanasOracle(), session.dataset.snapshot(), None, initial=previous)
+    assert report.warm_start
+    assert report.consensus.buckets == expected.consensus.buckets
+    assert report.score == expected.score
+    assert report.steps == expected.details["steps"]
+
+
+@given(chanas_params, st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_chanas_anytime_stream_matches_oracle(params, warm):
+    """Cold and warm-started (``initial=``) Chanas streams equal the
+    element-by-element oracle's, candidate for candidate."""
+    rankings = make_dataset(params)
+    initial = random_ranking(params[0], params[2] + 1) if warm else None
+    assert_chanas_stream_matches_oracle(Chanas, ChanasOracle, rankings, initial)
+
+
+@given(chanas_params, st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_chanas_both_anytime_stream_matches_oracle(params, warm):
+    """ChanasBoth runs every start on the same sort pass: its stream equals
+    the oracle's, cold and warm-started."""
+    n, m, seed = params
+    rankings = make_dataset((n, min(m, 6), seed))
+    initial = random_ranking(n, seed + 1) if warm else None
+    assert_chanas_stream_matches_oracle(ChanasBoth, ChanasBothOracle, rankings, initial)
+
+
+@given(chanas_params, st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_chanas_cost_ties_go_to_the_first_minimum(params, warm):
+    """On mirrored datasets the gap costs tie widely; the stream still
+    equals the oracle's, whose ``argmin`` takes the first minimum."""
+    n, m, seed = params
+    rankings = mirrored(make_dataset((n, min(m, 4), seed)))
+    initial = random_ranking(n, seed + 3) if warm else None
+    assert_chanas_stream_matches_oracle(Chanas, ChanasOracle, rankings, initial)

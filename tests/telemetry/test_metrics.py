@@ -112,3 +112,55 @@ class TestMetricsRegistry:
         driver.histogram("latency", buckets=(0.1, 1.0)).observe(0.5)
         with pytest.raises(ValueError, match="incompatible bucket layout"):
             driver.merge_payload(worker.to_payload())
+
+
+def test_unlabelled_and_labelled_series_render_unchanged():
+    """Unlabelled series share one key with an explicitly empty label set,
+    sort before labelled ones, and render to the same payload and
+    Prometheus text as labelled-only code paths always have."""
+    from repro.telemetry.export import to_prometheus
+
+    registry = MetricsRegistry()
+    registry.counter("serve.outcome", help="answers").inc()
+    registry.counter("serve.outcome").inc(2.0, status="ok")
+    registry.counter("serve.outcome").inc(**{})
+    registry.gauge("queue.depth").set(3)
+    latency = registry.histogram("serve.latency", buckets=(0.1, 1.0))
+    latency.observe(0.05)
+    latency.observe(0.5, shard=1)
+    latency.observe(2.0)
+    payload = registry.to_payload()
+    assert payload == [
+        {"name": "queue.depth", "kind": "gauge", "help": "",
+         "series": [{"labels": {}, "value": 3.0}]},
+        {"name": "serve.latency", "kind": "histogram", "help": "", "bounds": [0.1, 1.0],
+         "series": [
+             {"labels": {}, "buckets": [1, 0, 1], "sum": 2.05, "count": 2, "max": 2.0},
+             {"labels": {"shard": "1"}, "buckets": [0, 1, 0], "sum": 0.5, "count": 1,
+              "max": 0.5},
+         ]},
+        {"name": "serve.outcome", "kind": "counter", "help": "answers",
+         "series": [{"labels": {}, "value": 2.0}, {"labels": {"status": "ok"}, "value": 2.0}]},
+    ]
+    assert to_prometheus({"metrics": payload}) == (
+        "# TYPE queue_depth gauge\n"
+        "queue_depth 3.0\n"
+        "# TYPE serve_latency histogram\n"
+        'serve_latency_bucket{le="0.1"} 1\n'
+        'serve_latency_bucket{le="1"} 1\n'
+        'serve_latency_bucket{le="+Inf"} 2\n'
+        "serve_latency_sum 2.05\n"
+        "serve_latency_count 2\n"
+        'serve_latency_bucket{le="0.1",shard="1"} 0\n'
+        'serve_latency_bucket{le="1",shard="1"} 1\n'
+        'serve_latency_bucket{le="+Inf",shard="1"} 1\n'
+        'serve_latency_sum{shard="1"} 0.5\n'
+        'serve_latency_count{shard="1"} 1\n'
+        "# HELP serve_outcome answers\n"
+        "# TYPE serve_outcome counter\n"
+        "serve_outcome 2.0\n"
+        'serve_outcome{status="ok"} 2.0\n'
+    )
+    merged = MetricsRegistry()
+    merged.merge_payload(payload)
+    assert merged.to_payload() == payload
