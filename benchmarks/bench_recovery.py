@@ -54,11 +54,7 @@ from repro.datasets.io import parse_ranking
 from repro.experiments.report import format_table
 from repro.generators import uniform_dataset
 from repro.service.live import LiveAggregationSession
-from repro.workloads.churn import (
-    ChurnProfile,
-    apply_mutation,
-    build_mutation_stream,
-)
+from repro.workloads.churn import ChurnProfile, build_mutation_stream
 
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_recovery.json"
 
@@ -129,8 +125,8 @@ def _apply_stream(session: LiveAggregationSession, stream) -> float:
     gc.disable()
     try:
         start = time.perf_counter()
-        for item in stream:
-            apply_mutation(session, item)
+        for record in stream:
+            session.mutate(record)
         return time.perf_counter() - start
     finally:
         gc.enable()

@@ -62,12 +62,14 @@ from .prepared import (
     set_plan_cache_limit,
     store_plan,
 )
-from .ranking import BucketVector, Element, Ranking
+from .ranking import BucketVector, Element, Ranking, format_ranking, parse_ranking
 
 __all__ = [
     "Ranking",
     "BucketVector",
     "Element",
+    "parse_ranking",
+    "format_ranking",
     "PairwiseWeights",
     "kendall_tau_distance",
     "generalized_kendall_tau_distance",

@@ -15,10 +15,14 @@ replay reconstructs the live state byte-for-byte:
 * :meth:`LiveJournal.snapshot` writes a checksummed **snapshot** of the
   full live state — the rankings *and* the delta-maintained before/tied
   matrices — then deletes every older segment and snapshot.  Replay from
-  a snapshot adopts the stored matrices
-  (:meth:`~repro.core.live.LiveDataset.adopt`) instead of re-counting
-  them, which is what makes recovery a fast tail-replay rather than a
-  full rebuild;
+  a snapshot adopts the stored matrices and text lines
+  (:meth:`~repro.core.live.LiveDataset.adopt_lines`) instead of
+  re-counting them, which is what makes recovery a fast tail-replay
+  rather than a full rebuild;
+* mutation records are applied through
+  :meth:`~repro.core.live.LiveDataset.apply`, the same code that applies
+  a live session's writes, so a journal replays exactly what was
+  acknowledged;
 * :func:`replay_journal` tolerates exactly one kind of damage — a torn
   *tail* on the newest segment, which it truncates (the unacknowledged
   write that was in flight when the process died).  A bad record with
@@ -68,7 +72,7 @@ from ..telemetry import runtime as _telemetry
 from ..testing import faults as _faults
 from .exceptions import ReproError
 from .live import LiveDataset
-from .ranking import Ranking
+from .ranking import Ranking, format_ranking, parse_ranking
 
 __all__ = [
     "JournalError",
@@ -146,19 +150,6 @@ def _decode_matrix(data: str, n: int) -> np.ndarray:
     return np.frombuffer(base64.b64decode(data), dtype=np.int64).reshape(n, n)
 
 
-def _format_ranking(ranking: Ranking) -> str:
-    # Imported lazily: repro.datasets imports repro.core at module load.
-    from ..datasets.io import format_ranking
-
-    return format_ranking(ranking)
-
-
-def _parse_ranking(line: str) -> Ranking:
-    from ..datasets.io import parse_ranking
-
-    return parse_ranking(line)
-
-
 # --------------------------------------------------------------------------- #
 # Record constructors (the pinned journal vocabulary)
 # --------------------------------------------------------------------------- #
@@ -181,7 +172,7 @@ def init_record(
     return {
         "type": "init",
         "name": name,
-        "rankings": [_format_ranking(ranking) for ranking in rankings],
+        "rankings": [format_ranking(ranking) for ranking in rankings],
         "metadata": dict(metadata or {}),
     }
 
@@ -215,7 +206,7 @@ def mutation_record(
     record: dict[str, Any] = {"type": kind, "generation": generation, "index": index}
     if ranking is not None:
         record["ranking"] = (
-            ranking if isinstance(ranking, str) else _format_ranking(ranking)
+            ranking if isinstance(ranking, str) else format_ranking(ranking)
         )
     return record
 
@@ -717,30 +708,18 @@ def replay_journal(
     if snapshot is not None:
         n = int(snapshot["num_elements"])
         generation = int(snapshot["generation"])
-        before = _decode_matrix(snapshot["before"], n)
-        tied = _decode_matrix(snapshot["tied"], n)
-        if snapshot.get("elements") is not None:
-            # Fast path: adopt the canonical text lines without parsing —
-            # only rankings the tail actually touches get parsed lazily,
-            # which keeps replay O(tail) instead of O(m).
-            dataset = LiveDataset.adopt_lines(
-                snapshot["rankings"],
-                snapshot["elements"],
-                before,
-                tied,
-                name=str(snapshot.get("name", directory.name)),
-                metadata=snapshot.get("metadata") or {},
-                generation=generation,
-            )
-        else:  # pre-"elements" snapshots: parse eagerly
-            dataset = LiveDataset.adopt(
-                [_parse_ranking(line) for line in snapshot["rankings"]],
-                before,
-                tied,
-                name=str(snapshot.get("name", directory.name)),
-                metadata=snapshot.get("metadata") or {},
-                generation=generation,
-            )
+        # Adopt the canonical text lines without parsing: only rankings
+        # the tail actually touches get parsed, which keeps replay O(tail)
+        # instead of O(m).
+        dataset = LiveDataset.adopt_lines(
+            snapshot["rankings"],
+            snapshot["elements"],
+            _decode_matrix(snapshot["before"], n),
+            _decode_matrix(snapshot["tied"], n),
+            name=str(snapshot.get("name", directory.name)),
+            metadata=snapshot.get("metadata") or {},
+            generation=generation,
+        )
         if snapshot.get("consensus") is not None:
             consensus = Ranking(snapshot["consensus"])
             score = snapshot.get("score")
@@ -773,7 +752,7 @@ def replay_journal(
                         f"unexpected init record mid-journal in {path.name}"
                     )
                 dataset = LiveDataset(
-                    [_parse_ranking(line) for line in record["rankings"]],
+                    [parse_ranking(line) for line in record["rankings"]],
                     name=str(record.get("name", directory.name)),
                     metadata=record.get("metadata") or {},
                 )
@@ -784,17 +763,19 @@ def replay_journal(
                     f"record of type {kind!r} before any init record or "
                     f"snapshot in {path.name}"
                 )
-            if kind == "add":
-                dataset.add_ranking(
-                    _parse_ranking(record["ranking"]),
-                    None if record.get("index") is None else int(record["index"]),
-                )
-            elif kind == "remove":
-                dataset.remove_ranking(int(record["index"]))
-            elif kind == "update":
-                dataset.update_ranking(
-                    int(record["index"]), _parse_ranking(record["ranking"])
-                )
+            if kind in _MUTATION_TYPES:
+                write = {
+                    "op": kind,
+                    "index": record.get("index"),
+                    "ranking": record.get("ranking"),
+                }
+                try:
+                    dataset.apply(write)
+                except ValueError as error:
+                    raise JournalCorruptionError(
+                        f"{kind} record in {path.name} does not apply to the "
+                        f"replayed dataset: {error}"
+                    ) from error
             elif kind == "repair":
                 consensus = Ranking(record["consensus"])
                 score = int(record["score"])

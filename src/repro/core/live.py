@@ -10,6 +10,10 @@ traffic:
   before/tied count matrices by **delta updates** — one O(n²) comparison
   plane per touched ranking, independent of the dataset size ``m`` —
   instead of recounting all ``m`` rankings;
+* :meth:`~LiveDataset.apply` is the one entry point for a write given as
+  a record (wire body, churn stream item, journal record): it validates
+  the record, applies it through those three methods and returns it
+  resolved, together with the record that undoes it;
 * the content fingerprint is kept coherent across every mutation (the
   canonical per-ranking text lines are cached, so re-digesting is O(total
   text), never O(m·n²));
@@ -45,7 +49,7 @@ from .arrays import position_tensor
 from .exceptions import DomainMismatchError, EmptyDatasetError
 from .pairwise import PairwiseWeights
 from .prepared import PreparedDataset, store_plan
-from .ranking import Element, Ranking
+from .ranking import Element, Ranking, format_ranking, parse_ranking
 
 __all__ = ["LiveDataset"]
 
@@ -72,110 +76,16 @@ class LiveDataset:
         metadata: Mapping[str, Any] | None = None,
     ):
         initial = list(rankings)
-        if not initial:
-            raise EmptyDatasetError(
-                "a LiveDataset needs at least one initial ranking to fix its domain"
-            )
-        self.name = name
-        self.metadata: dict[str, Any] = dict(metadata or {})
-        elements, _ = position_tensor(initial)  # validates the shared domain
-        self._elements: list[Element] = elements
-        self._domain: frozenset[Element] = frozenset(elements)
-        # ``None`` entries are lazy (line-backed adoption, see
-        # :meth:`adopt_lines`): the ranking is parsed from ``_lines`` and
-        # the vector derived from it only when the position is touched.
-        self._rankings: list[Ranking | None] = list(initial)
-        # Per-ranking dense bucket-id vectors (read-only, cached on the
-        # immutable rankings) — the rows snapshots stack into the tensor.
-        self._vectors: list[np.ndarray | None] = [
-            ranking.dense_positions() for ranking in initial
-        ]
+        # position_tensor validates the shared domain; _init_state refuses
+        # an empty dataset.
+        elements, _ = position_tensor(initial) if initial else ([], None)
         n = len(elements)
-        # Writable master matrices; snapshots receive frozen copies.
-        self._before = np.zeros((n, n), dtype=np.int64)
-        self._tied = np.zeros((n, n), dtype=np.int64)
-        # Per-ranking comparison planes (bool, diagonal cleared), built once
-        # per insertion so every later delta is pure in-place arithmetic.
-        # Entries may be ``None`` (adopted state, see :meth:`adopt`); they
-        # are recomputed from the cached vectors on demand.
-        self._planes: list[tuple[np.ndarray, np.ndarray] | None] = [
-            self._plane(vector) for vector in self._vectors
-        ]
-        for plane in self._planes:
-            self._apply_delta(plane, +1)
-        # Canonical text lines back the fingerprint; formatting is deferred
-        # out of the mutation hot path (None = not formatted yet).
-        self._lines: list[str | None] = [None] * len(initial)
-        self._generation = 0
-        self._fingerprint: str | None = None
-        self._snapshot: Any = None  # Dataset of the current generation, lazily built
-        self._last_delta_seconds = 0.0
-
-    @classmethod
-    def adopt(
-        cls,
-        rankings: Iterable[Ranking],
-        before: np.ndarray,
-        tied: np.ndarray,
-        *,
-        name: str = "live",
-        metadata: Mapping[str, Any] | None = None,
-        generation: int = 0,
-    ) -> "LiveDataset":
-        """Wrap already-maintained pairwise state without recounting it.
-
-        The recovery path of :mod:`repro.core.journal`: a snapshot stores
-        the delta-maintained before/tied matrices, so rebuilding the live
-        dataset must not pay the O(m·n²) per-ranking plane construction
-        ``__init__`` performs.  The matrices are copied (writable masters),
-        and the per-ranking comparison planes start *lazy* — recomputed
-        from the cached position vectors only when a ranking is later
-        removed or replaced.  Because planes are a pure function of the
-        vectors, the adopted state stays byte-identical to continuous
-        maintenance.
-
-        Parameters
-        ----------
-        rankings:
-            The rankings the matrices were counted from, in dataset order.
-        before, tied:
-            The (n × n) int64 before/tied count matrices.
-        name:
-            Human-readable identifier, carried onto every snapshot.
-        metadata:
-            Free-form mapping copied onto every snapshot.
-        generation:
-            Mutation counter to resume from (the journal's record count).
-        """
-        initial = list(rankings)
-        if not initial:
-            raise EmptyDatasetError(
-                "a LiveDataset needs at least one initial ranking to fix its domain"
-            )
-        dataset = object.__new__(cls)
-        dataset.name = name
-        dataset.metadata = dict(metadata or {})
-        elements, _ = position_tensor(initial)  # validates the shared domain
-        dataset._elements = elements
-        dataset._domain = frozenset(elements)
-        dataset._rankings = initial
-        dataset._vectors = [ranking.dense_positions() for ranking in initial]
-        n = len(elements)
-        expected = (n, n)
-        for matrix in (before, tied):
-            if matrix.shape != expected:
-                raise ValueError(
-                    f"adopted matrix has shape {matrix.shape}, expected {expected}"
-                )
-        dataset._before = np.array(before, dtype=np.int64)
-        dataset._tied = np.array(tied, dtype=np.int64)
-        dataset._planes = [None] * len(initial)
-        dataset._lines = [None] * len(initial)
-        dataset._generation = generation
-        dataset._fingerprint = None
-        dataset._snapshot = None
-        dataset._last_delta_seconds = 0.0
-        return dataset
+        self._init_state(
+            name, metadata, elements, initial, [None] * len(initial),
+            np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=np.int64), 0,
+        )
+        for index in range(len(initial)):
+            self._apply_delta(self._plane_at(index), +1)
 
     @classmethod
     def adopt_lines(
@@ -220,33 +130,58 @@ class LiveDataset:
             Mutation counter to resume from (the journal's record count).
         """
         text = [str(line) for line in lines]
-        if not text:
-            raise EmptyDatasetError(
-                "a LiveDataset needs at least one initial ranking to fix its domain"
-            )
-        dataset = object.__new__(cls)
-        dataset.name = name
-        dataset.metadata = dict(metadata or {})
-        dataset._elements = list(elements)
-        dataset._domain = frozenset(dataset._elements)
-        dataset._rankings = [None] * len(text)
-        dataset._vectors = [None] * len(text)
-        n = len(dataset._elements)
-        expected = (n, n)
+        elements = list(elements)
+        expected = (len(elements), len(elements))
         for matrix in (before, tied):
             if matrix.shape != expected:
                 raise ValueError(
                     f"adopted matrix has shape {matrix.shape}, expected {expected}"
                 )
-        dataset._before = np.array(before, dtype=np.int64)
-        dataset._tied = np.array(tied, dtype=np.int64)
-        dataset._planes = [None] * len(text)
-        dataset._lines = list(text)
-        dataset._generation = generation
-        dataset._fingerprint = None
-        dataset._snapshot = None
-        dataset._last_delta_seconds = 0.0
+        dataset = object.__new__(cls)
+        dataset._init_state(
+            name, metadata, elements, [None] * len(text), text,
+            np.array(before, dtype=np.int64), np.array(tied, dtype=np.int64),
+            generation,
+        )
         return dataset
+
+    def _init_state(
+        self,
+        name: str,
+        metadata: Mapping[str, Any] | None,
+        elements: list[Element],
+        rankings: list[Ranking | None],
+        lines: list[str | None],
+        before: np.ndarray,
+        tied: np.ndarray,
+        generation: int,
+    ) -> None:
+        """Set every field; ``None`` rankings and lines are filled lazily."""
+        if not rankings:
+            raise EmptyDatasetError(
+                "a LiveDataset needs at least one initial ranking to fix its domain"
+            )
+        self.name = name
+        self.metadata: dict[str, Any] = dict(metadata or {})
+        self._elements: list[Element] = elements
+        self._domain: frozenset[Element] = frozenset(elements)
+        # ``None`` entries are lazy: a ranking is parsed from its line, its
+        # dense bucket-id vector and its comparison plane derived from it,
+        # only when its position is touched (see :meth:`_plane_at`).
+        self._rankings: list[Ranking | None] = rankings
+        self._vectors: list[np.ndarray | None] = [None] * len(rankings)
+        planes: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(rankings)
+        self._planes = planes
+        # Canonical text lines back the fingerprint; formatting is deferred
+        # out of the mutation hot path (None = not formatted yet).
+        self._lines: list[str | None] = lines
+        # Writable master matrices; snapshots receive frozen copies.
+        self._before = before
+        self._tied = tied
+        self._generation = generation
+        self._fingerprint: str | None = None
+        self._snapshot: Any = None  # Dataset of the current generation, lazily built
+        self._last_delta_seconds = 0.0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -308,7 +243,7 @@ class LiveDataset:
         """
         line = self._lines[index]
         if line is None:
-            line = self._lines[index] = self._format(self._rankings[index])
+            line = self._lines[index] = format_ranking(self._rankings[index])
         return line
 
     def content_fingerprint(self) -> str:
@@ -319,7 +254,7 @@ class LiveDataset:
             lines = self._lines
             for index, line in enumerate(lines):
                 if line is None:
-                    lines[index] = self._format(self._rankings[index])
+                    lines[index] = format_ranking(self._rankings[index])
             text = "\n".join(lines)
             self._fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return self._fingerprint
@@ -335,7 +270,9 @@ class LiveDataset:
         ranking:
             The ranking to add; must cover exactly the dataset's domain.
         index:
-            Insertion position (defaults to appending at the end).
+            Insertion position, ``0 <= index <= m`` (defaults to appending
+            at the end); anything else raises :class:`IndexError` before
+            any state changes.
 
         Returns
         -------
@@ -343,9 +280,13 @@ class LiveDataset:
             The position the ranking now occupies.
         """
         vector = self._validated_vector(ranking)
-        start = time.perf_counter()
         if index is None:
             index = len(self._rankings)
+        elif not 0 <= index <= len(self._rankings):
+            raise IndexError(
+                f"insertion index {index} outside 0..{len(self._rankings)}"
+            )
+        start = time.perf_counter()
         plane = self._plane(vector)
         self._apply_delta(plane, +1)
         self._rankings.insert(index, ranking)
@@ -406,6 +347,70 @@ class LiveDataset:
         self._lines[index] = None
         self._bump(start)
         return previous
+
+    def apply(
+        self, record: Mapping[str, Any]
+    ) -> tuple[dict[str, Any], dict[str, Any]]:
+        """Apply one write record; return it resolved, with its inverse.
+
+        A record is the one description of a write: ``{"op": "add" |
+        "remove" | "update", "index": int | None, "ranking": "<text
+        line>"}``.  It is the body of ``POST /live/{name}/mutate``, an item
+        of a churn stream and, with ``op`` stored as ``type``, a journal
+        mutation record.  It is refused with :class:`ValueError` before
+        any state changes unless ``op`` is one of the three kinds,
+        ``index`` is an ``int`` (not a bool) with ``0 <= index < m`` for
+        remove/update and ``0 <= index <= m`` or ``None`` (append) for
+        add, and ``ranking`` is a text line over the dataset's domain for
+        add/update; removing the last ranking is refused too.  The line is
+        parsed once and written through :meth:`add_ranking`,
+        :meth:`remove_ranking` or :meth:`update_ranking`.
+
+        Parameters
+        ----------
+        record:
+            The write to apply (keys other than the three are ignored).
+
+        Returns
+        -------
+        tuple[dict, dict]
+            The resolved record (``index`` is the position written and
+            ``ranking`` its canonical :meth:`line_at` text: what the
+            journal stores) and the record that undoes it.
+        """
+        op = record.get("op")
+        if op not in ("add", "remove", "update"):
+            raise ValueError(f"'op' must be add/remove/update, got {op!r}")
+        index = record.get("index")
+        if not (op == "add" and index is None):
+            stop = len(self._rankings) + (op == "add")
+            if isinstance(index, bool) or not isinstance(index, int):
+                raise ValueError(f"'index' must be an integer, got {index!r}")
+            if not 0 <= index < stop:
+                raise ValueError(f"{op} index {index} outside 0..{stop - 1}")
+        if op != "remove":
+            line = record.get("ranking")
+            if not isinstance(line, str):
+                raise ValueError(f"{op} needs a 'ranking' text line, got {line!r}")
+            ranking = parse_ranking(line)
+        if op == "add":
+            index = self.add_ranking(ranking, index)
+            return (
+                {"op": op, "index": index, "ranking": self.line_at(index)},
+                {"op": "remove", "index": index},
+            )
+        previous = self.line_at(index)
+        if op == "remove":
+            self.remove_ranking(index)
+            return (
+                {"op": op, "index": index},
+                {"op": "add", "index": index, "ranking": previous},
+            )
+        self.update_ranking(index, ranking)
+        return (
+            {"op": op, "index": index, "ranking": self.line_at(index)},
+            {"op": op, "index": index, "ranking": previous},
+        )
 
     # ------------------------------------------------------------------ #
     # Snapshots
@@ -484,9 +489,6 @@ class LiveDataset:
         """
         ranking = self._rankings[index]
         if ranking is None:
-            # Imported lazily: repro.datasets imports repro.core at load.
-            from ..datasets.io import parse_ranking
-
             ranking = parse_ranking(self._lines[index])
             if ranking.domain != self._domain:
                 raise DomainMismatchError(
@@ -508,10 +510,10 @@ class LiveDataset:
     def _plane_at(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """The comparison plane of ranking ``index`` (lazily rebuilt).
 
-        Adopted datasets (:meth:`adopt`) start with no planes; a plane is
-        a pure function of the ranking's cached position vector, so
-        recomputing it here folds out exactly what insertion would have
-        folded in.
+        A plane is a pure function of the ranking's position vector, so
+        building it on first use (at construction, or on the first write
+        that touches an adopted line) folds out exactly what insertion
+        would have folded in.
         """
         plane = self._planes[index]
         if plane is None:
@@ -550,13 +552,6 @@ class LiveDataset:
         self._generation += 1
         self._fingerprint = None
         self._snapshot = None
-
-    @staticmethod
-    def _format(ranking: Ranking) -> str:
-        # Imported lazily: repro.datasets imports repro.core at module load.
-        from ..datasets.io import format_ranking
-
-        return format_ranking(ranking)
 
     def __repr__(self) -> str:
         return (

@@ -40,7 +40,7 @@ import numpy as np
 
 from .kemeny import generalized_kemeny_score_from_weights
 from .pairwise import PairwiseWeights
-from .ranking import Element, Ranking
+from .ranking import Element, Ranking, format_ranking
 
 __all__ = [
     "PreparedDataset",
@@ -72,8 +72,9 @@ _build_count = 0
 def rankings_fingerprint(rankings: Sequence[Ranking]) -> str:
     """Content digest of a sequence of rankings.
 
-    Hashes the canonical text serialization (the distribution format of
-    :mod:`repro.datasets.io`), so the digest is identical to the engine's
+    Hashes the canonical text serialization
+    (:func:`~repro.core.ranking.format_ranking`, the paper's distribution
+    format), so the digest is identical to the engine's
     ``dataset_fingerprint`` for a dataset holding the same rankings —
     worker-local plan cache keys and persistent result-cache keys agree.
 
@@ -82,9 +83,6 @@ def rankings_fingerprint(rankings: Sequence[Ranking]) -> str:
     rankings:
         The rankings to digest, in dataset order.
     """
-    # Imported lazily: repro.datasets imports repro.core at module load.
-    from ..datasets.io import format_ranking
-
     text = "\n".join(format_ranking(ranking) for ranking in rankings)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

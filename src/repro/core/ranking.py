@@ -15,6 +15,9 @@ This module provides:
   algorithms (BioConsert, Chanas) which repeatedly edit a candidate
   consensus.
 * helpers to build rankings from permutations, scores, and position maps.
+* :func:`parse_ranking` / :func:`format_ranking` -- the one-line text form
+  of the paper's dataset files, which content fingerprints and the live
+  journal also digest and store.
 
 Elements may be any hashable object (integers, strings, ...).  All
 operations are deterministic: buckets preserve the insertion order of their
@@ -23,6 +26,7 @@ elements for display purposes while comparisons use set semantics.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from typing import Any
 
@@ -376,6 +380,58 @@ class Ranking:
 def _sort_key(element: Element) -> tuple[str, str]:
     """A total order over arbitrary hashable elements (type name, then repr)."""
     return (type(element).__name__, repr(element))
+
+
+# --------------------------------------------------------------------------- #
+# Text codec: one ranking per line, the paper's dataset file format
+# --------------------------------------------------------------------------- #
+_BUCKET_PATTERN = re.compile(r"\[([^\[\]]*)\]")
+
+
+def parse_ranking(line: str) -> Ranking:
+    """Parse a single ranking from its textual representation.
+
+    Accepts the bracketed form ``[[A],[B,C]]`` as well as the looser
+    ``[A],[B,C]`` (without the outer brackets).  Purely numeric tokens
+    become ``int`` elements, everything else stays a string.
+
+    Parameters
+    ----------
+    line:
+        One ranking in the text format (surrounding whitespace ignored).
+    """
+    text = line.strip()
+    if not text:
+        raise InvalidRankingError("cannot parse a ranking from an empty line")
+    if text.startswith("[[") and text.endswith("]]"):
+        text = text[1:-1]
+    buckets: list[list[Element]] = []
+    matches = _BUCKET_PATTERN.findall(text)
+    if not matches:
+        raise InvalidRankingError(f"no bucket found in line {line!r}")
+    for match in matches:
+        tokens = [token.strip() for token in match.split(",") if token.strip()]
+        if not tokens:
+            raise InvalidRankingError(f"empty bucket in line {line!r}")
+        buckets.append(
+            [int(token) if token.lstrip("-").isdigit() else token for token in tokens]
+        )
+    return Ranking(buckets)
+
+
+def format_ranking(ranking: Ranking) -> str:
+    """Textual representation of a ranking, inverse of :func:`parse_ranking`.
+
+    Parameters
+    ----------
+    ranking:
+        The ranking to serialize (buckets in order, elements as ``str``).
+    """
+    buckets = ",".join(
+        "[" + ",".join(str(element) for element in bucket) + "]"
+        for bucket in ranking.buckets
+    )
+    return f"[{buckets}]"
 
 
 class BucketVector:

@@ -16,12 +16,10 @@ are ignored.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable
 from pathlib import Path
 
-from ..core.exceptions import InvalidRankingError
-from ..core.ranking import Element, Ranking
+from ..core.ranking import format_ranking, parse_ranking
 from .dataset import Dataset
 
 __all__ = [
@@ -32,46 +30,6 @@ __all__ = [
     "load_dataset",
     "save_dataset",
 ]
-
-_BUCKET_PATTERN = re.compile(r"\[([^\[\]]*)\]")
-
-
-def parse_ranking(line: str) -> Ranking:
-    """Parse a single ranking from its textual representation.
-
-    Accepts the bracketed form ``[[A],[B,C]]`` as well as the looser
-    ``[A],[B,C]`` (without the outer brackets).
-    """
-    text = line.strip()
-    if not text:
-        raise InvalidRankingError("cannot parse a ranking from an empty line")
-    if text.startswith("[[") and text.endswith("]]"):
-        text = text[1:-1]
-    buckets: list[list[Element]] = []
-    matches = _BUCKET_PATTERN.findall(text)
-    if not matches:
-        raise InvalidRankingError(f"no bucket found in line {line!r}")
-    for match in matches:
-        tokens = [token.strip() for token in match.split(",") if token.strip()]
-        if not tokens:
-            raise InvalidRankingError(f"empty bucket in line {line!r}")
-        buckets.append([_parse_element(token) for token in tokens])
-    return Ranking(buckets)
-
-
-def _parse_element(token: str) -> Element:
-    if token.lstrip("-").isdigit():
-        return int(token)
-    return token
-
-
-def format_ranking(ranking: Ranking) -> str:
-    """Textual representation of a ranking, inverse of :func:`parse_ranking`."""
-    buckets = ",".join(
-        "[" + ",".join(str(element) for element in bucket) + "]"
-        for bucket in ranking.buckets
-    )
-    return f"[{buckets}]"
 
 
 def loads(text: str, *, name: str = "dataset") -> Dataset:

@@ -45,13 +45,14 @@ from typing import Any
 
 from ...core.journal import journal_exists
 from ...core.live import LiveDataset
-from ...datasets.io import loads as dataset_loads, parse_ranking
+from ...datasets.io import loads as dataset_loads
 from ...telemetry import runtime as _telemetry
 from .. import counters as _counters
 from ..frontend import ServiceFrontend, degraded_response
 from ..live import LiveAggregationSession
 from .protocol import (
     AggregateRequestError,
+    _optional_positive,
     decode_aggregate_request,
     response_payload,
     status_code_for,
@@ -642,14 +643,18 @@ class HttpAggregationServer:
                 "error": "live open needs a non-empty 'dataset' string",
             }
         algorithm = str(wire.get("algorithm") or "BioConsert")
-        budget = wire.get("budget_seconds", self.default_budget_seconds)
         try:
+            budget = (
+                _optional_positive(wire, "budget_seconds")
+                if "budget_seconds" in wire
+                else self.default_budget_seconds
+            )
             dataset = dataset_loads(text, name=name)
             session = LiveAggregationSession(
                 LiveDataset(dataset.rankings, name=name),
                 algorithm=algorithm,
                 frontend=self._live_frontend,
-                budget_seconds=None if budget is None else float(budget),
+                budget_seconds=budget,
                 seed=self.seed,
                 journal_dir=(
                     None if self.journal_dir is None else self.journal_dir / name
@@ -682,32 +687,12 @@ class HttpAggregationServer:
     async def _live_mutate(
         self, session: LiveAggregationSession, wire: dict[str, Any]
     ) -> tuple[int, dict[str, Any]]:
-        op = wire.get("op")
-        if op not in ("add", "remove", "update"):
-            self.stats.bad_requests += 1
-            return 400, {
-                "status": "invalid",
-                "error": f"'op' must be add/remove/update, got {op!r}",
-            }
-        index = wire.get("index")
-
-        def _apply() -> None:
-            if op == "add":
-                session.add_ranking(
-                    parse_ranking(str(wire.get("ranking") or "")),
-                    None if index is None else int(index),
-                )
-            elif op == "remove":
-                session.remove_ranking(int(index))
-            else:
-                session.update_ranking(
-                    int(index), parse_ranking(str(wire.get("ranking") or ""))
-                )
-
         loop = asyncio.get_running_loop()
         try:
-            await loop.run_in_executor(self._live_executor, _apply)
-        except Exception as error:  # bad ranking / index → 400
+            resolved = await loop.run_in_executor(
+                self._live_executor, session.mutate, wire
+            )
+        except ValueError as error:  # a refused record changed nothing
             self.stats.bad_requests += 1
             return 400, {
                 "status": "invalid",
@@ -715,7 +700,7 @@ class HttpAggregationServer:
             }
         return 200, {
             "session": session.dataset.name,
-            "op": op,
+            "op": resolved["op"],
             "generation": session.dataset.generation,
             "num_rankings": session.dataset.num_rankings,
             "fingerprint": session.dataset.content_fingerprint(),
@@ -725,11 +710,14 @@ class HttpAggregationServer:
     async def _live_repair(
         self, session: LiveAggregationSession, wire: dict[str, Any]
     ) -> tuple[int, dict[str, Any]]:
-        budget = wire.get("budget_seconds")
+        try:
+            budget = _optional_positive(wire, "budget_seconds")
+        except AggregateRequestError as error:
+            self.stats.bad_requests += 1
+            return 400, {"status": "invalid", "error": str(error)}
         loop = asyncio.get_running_loop()
         report = await loop.run_in_executor(
-            self._live_executor,
-            lambda: session.repair(None if budget is None else float(budget)),
+            self._live_executor, session.repair, budget
         )
         return 200, self._report_payload(session, report)
 

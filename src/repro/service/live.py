@@ -4,10 +4,10 @@ The write-path counterpart of :class:`~repro.service.frontend.ServiceFrontend`.
 A :class:`LiveAggregationSession` owns a :class:`~repro.core.live.LiveDataset`
 and keeps a consensus continuously fresh across streaming writes:
 
-* every mutation (``add_ranking`` / ``remove_ranking`` / ``update_ranking``)
-  delta-updates the dataset's pairwise weights (O(n²) per touched ranking,
-  never a rebuild) and **invalidates** the responses the attached frontend
-  cached under the pre-mutation fingerprint;
+* every write (:meth:`LiveAggregationSession.mutate`, one add / remove /
+  update record) delta-updates the dataset's pairwise weights (O(n²) per
+  touched ranking, never a rebuild) and **invalidates** the responses the
+  attached frontend cached under the pre-mutation fingerprint;
 * :meth:`LiveAggregationSession.repair` re-solves **warm-started** from the
   pre-mutation consensus (``run_anytime(..., initial=...)``): the anytime
   local-search family refines the previous answer against the new weights
@@ -27,14 +27,15 @@ mutation and published repair is appended to a
 :meth:`LiveAggregationSession.recover` rebuilds the session after a crash —
 replaying the journal into a byte-identical dataset and warm-starting the
 next repair from the last published consensus.  The write-ahead ordering is
-strict: a mutation whose journal append fails is **rolled back** before the
-error propagates, so the set of acknowledged mutations is always a subset
-of the journaled ones.
+strict: a mutation whose journal append fails is **rolled back** (its
+inverse record applied) before the error propagates, so the set of
+acknowledged mutations is always a subset of the journaled ones.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -281,93 +282,47 @@ class LiveAggregationSession:
         return self._served_generation != self.dataset.generation
 
     # ------------------------------------------------------------------ #
-    # Mutations (delegate to the live dataset, then invalidate)
+    # Writes (apply to the live dataset, journal, then invalidate)
     # ------------------------------------------------------------------ #
-    def add_ranking(self, ranking: Ranking, index: int | None = None) -> int:
-        """Insert one ranking; stale cached responses are invalidated.
+    def mutate(self, record: Mapping[str, Any]) -> dict[str, Any]:
+        """Apply one write record; stale cached responses are invalidated.
 
-        With a journal attached, the mutation is durably appended before
-        this returns; a failed append rolls the insertion back.
+        The record is the ``POST /live/{name}/mutate`` body, checked and
+        applied by :meth:`~repro.core.live.LiveDataset.apply` (a refused
+        record raises :class:`ValueError` and changes nothing).  With a
+        journal attached, the resolved record is durably appended before
+        this returns; a failed append applies the inverse record and
+        re-raises.
 
         Parameters
         ----------
-        ranking:
-            The ranking to add (must cover the dataset's fixed domain).
-        index:
-            Insertion position (defaults to appending).
+        record:
+            ``{"op": "add" | "remove" | "update", "index": int | None,
+            "ranking": "<text line>"}``.
+
+        Returns
+        -------
+        dict
+            The resolved record: the position written and, for add and
+            update, the canonical text line stored.
         """
         old = self.dataset.content_fingerprint()
-        position = self.dataset.add_ranking(ranking, index)
+        resolved, inverse = self.dataset.apply(record)
         if self.journal is not None:
             try:
                 self.journal.append(
                     mutation_record(
-                        "add",
+                        resolved["op"],
                         self.dataset.generation,
-                        index=position,
-                        ranking=self.dataset.line_at(position),
+                        index=resolved["index"],
+                        ranking=resolved.get("ranking"),
                     )
                 )
             except Exception:
-                self.dataset.remove_ranking(position)
+                self.dataset.apply(inverse)
                 raise
         self._invalidate(old)
-        return position
-
-    def remove_ranking(self, index: int) -> Ranking:
-        """Remove one ranking; stale cached responses are invalidated.
-
-        With a journal attached, the mutation is durably appended before
-        this returns; a failed append re-inserts the ranking.
-
-        Parameters
-        ----------
-        index:
-            Position of the ranking to remove.
-        """
-        old = self.dataset.content_fingerprint()
-        removed = self.dataset.remove_ranking(index)
-        if self.journal is not None:
-            try:
-                self.journal.append(
-                    mutation_record("remove", self.dataset.generation, index=index)
-                )
-            except Exception:
-                self.dataset.add_ranking(removed, index)
-                raise
-        self._invalidate(old)
-        return removed
-
-    def update_ranking(self, index: int, ranking: Ranking) -> Ranking:
-        """Replace one ranking; stale cached responses are invalidated.
-
-        With a journal attached, the mutation is durably appended before
-        this returns; a failed append restores the previous ranking.
-
-        Parameters
-        ----------
-        index:
-            Position of the ranking to replace.
-        ranking:
-            The replacement (must cover the dataset's fixed domain).
-        """
-        old = self.dataset.content_fingerprint()
-        previous = self.dataset.update_ranking(index, ranking)
-        if self.journal is not None:
-            try:
-                self.journal.append(
-                    mutation_record(
-                        "update",
-                        self.dataset.generation,
-                        index=index,
-                        ranking=self.dataset.line_at(index),
-                    )
-                )
-            except Exception:
-                self.dataset.update_ranking(index, previous)
-                raise
-        self._invalidate(old)
-        return previous
+        return resolved
 
     # ------------------------------------------------------------------ #
     # Solving

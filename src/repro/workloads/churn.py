@@ -29,7 +29,7 @@ import numpy as np
 
 from ..core.live import LiveDataset
 from ..core.prepared import prepare_rankings
-from ..core.ranking import Ranking
+from ..core.ranking import Ranking, format_ranking
 from ..service.frontend import ServiceFrontend
 from ..service.live import LiveAggregationSession
 from .scenario import get_scenario
@@ -103,13 +103,17 @@ def _random_ranking(elements: list[Any], rng: np.random.Generator) -> Ranking:
 def build_mutation_stream(
     dataset: LiveDataset,
     profile: ChurnProfile | None = None,
-) -> list[tuple[str, Any]]:
+) -> list[dict[str, Any]]:
     """Materialise the seeded write stream for ``dataset``.
 
-    Each item is ``("add", ranking)``, ``("remove", index)`` or
-    ``("update", (index, ranking))``; indices are drawn against the
-    dataset size as the stream replays (removes are skipped in the draw
-    while the dataset holds a single ranking).
+    Each item is a write record, the ``POST /live/{name}/mutate`` body
+    that :meth:`~repro.core.live.LiveDataset.apply` and
+    :meth:`~repro.service.live.LiveAggregationSession.mutate` take:
+    ``{"op": "add", "index": None, "ranking": line}`` (append),
+    ``{"op": "remove", "index": i}`` or
+    ``{"op": "update", "index": i, "ranking": line}``.  Indices are drawn
+    against the dataset size as the stream replays (removes are skipped
+    in the draw while the dataset holds a single ranking).
 
     Parameters
     ----------
@@ -126,38 +130,24 @@ def build_mutation_stream(
     elements = dataset.elements
     mix = np.asarray(profile.mutation_mix, dtype=float)
     mix = mix / mix.sum()
-    stream: list[tuple[str, Any]] = []
+    stream: list[dict[str, Any]] = []
     size = dataset.num_rankings
     for _ in range(profile.num_mutations):
         kind = ("add", "remove", "update")[int(rng.choice(3, p=mix))]
         if kind == "remove" and size <= 1:
             kind = "add"
         if kind == "add":
-            stream.append(("add", _random_ranking(elements, rng)))
+            line = format_ranking(_random_ranking(elements, rng))
+            stream.append({"op": "add", "index": None, "ranking": line})
             size += 1
         elif kind == "remove":
-            stream.append(("remove", int(rng.integers(size))))
+            stream.append({"op": "remove", "index": int(rng.integers(size))})
             size -= 1
         else:
-            stream.append(
-                ("update", (int(rng.integers(size)), _random_ranking(elements, rng)))
-            )
+            index = int(rng.integers(size))
+            line = format_ranking(_random_ranking(elements, rng))
+            stream.append({"op": "update", "index": index, "ranking": line})
     return stream
-
-
-def apply_mutation(
-    session: LiveAggregationSession | LiveDataset, item: tuple[str, Any]
-) -> None:
-    """Apply one :func:`build_mutation_stream` ``item`` to ``session`` (a
-    live session or a bare :class:`~repro.core.live.LiveDataset`)."""
-    kind, payload = item
-    if kind == "add":
-        session.add_ranking(payload)
-    elif kind == "remove":
-        session.remove_ranking(payload)
-    else:
-        index, ranking = payload
-        session.update_ranking(index, ranking)
 
 
 def weights_match_rebuild(live: LiveDataset) -> bool:
@@ -215,8 +205,8 @@ def run_churn_load(
     score_deltas: list[int] = []
     warm_repairs = 0
     invalidated = 0
-    for position, item in enumerate(stream):
-        apply_mutation(session, item)
+    for position, record in enumerate(stream):
+        session.mutate(record)
         delta_seconds.append(live.last_delta_seconds)
         if (position + 1) % profile.repair_every == 0:
             report = session.repair()

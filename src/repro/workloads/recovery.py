@@ -40,12 +40,7 @@ from typing import Any
 from ..core.journal import journal_exists, replay_journal
 from ..core.live import LiveDataset
 from ..service.live import LiveAggregationSession
-from .churn import (
-    ChurnProfile,
-    apply_mutation,
-    build_mutation_stream,
-    weights_match_rebuild,
-)
+from .churn import ChurnProfile, build_mutation_stream, weights_match_rebuild
 from .scenario import get_scenario
 
 __all__ = ["KillRestartProfile", "run_kill_restart_churn"]
@@ -112,7 +107,7 @@ class KillRestartProfile:
 def _churn_worker(
     journal_dir: str,
     base_rankings: list[Any],
-    stream: list[tuple[str, Any]],
+    stream: list[dict[str, Any]],
     profile: KillRestartProfile,
     conn: Any,
 ) -> None:
@@ -144,7 +139,7 @@ def _churn_worker(
     offset = session.dataset.generation  # mutations already recovered
     conn.send(("resumed", offset))
     for position in range(offset, len(stream)):
-        apply_mutation(session, stream[position])
+        session.mutate(stream[position])
         conn.send(("ack", position + 1))
         if (position + 1) % profile.repair_every == 0:
             session.repair()
@@ -263,8 +258,8 @@ def run_kill_restart_churn(
     # reproduce the recovered state bit for bit.
     final = replay_journal(directory)
     fresh = LiveDataset(base.rankings, name=final.dataset.name)
-    for item in stream:
-        apply_mutation(fresh, item)
+    for record in stream:
+        fresh.apply(record)
     fingerprint_match = (
         final.dataset.content_fingerprint() == fresh.content_fingerprint()
     )

@@ -28,6 +28,7 @@ from repro.core import (
     LiveDataset,
     PairwiseWeights,
     Ranking,
+    format_ranking,
     generalized_kemeny_score,
     generalized_kendall_tau_distance,
     pairwise_distance_matrix,
@@ -396,7 +397,8 @@ def test_live_chanas_repair_matches_oracle_warm_run(seed):
     session = LiveAggregationSession(LiveDataset(rankings, name="chanas-live"), algorithm="Chanas")
     session.repair()
     previous = session.consensus
-    session.update_ranking(2, random_ranking(66, seed + 10))
+    replacement = format_ranking(random_ranking(66, seed + 10))
+    session.mutate({"op": "update", "index": 2, "ranking": replacement})
     with time_limit(_STREAM_SECONDS):
         report = session.repair()
         expected = run_anytime(ChanasOracle(), session.dataset.snapshot(), None, initial=previous)

@@ -14,6 +14,7 @@ from repro.core import (
     EmptyDatasetError,
     LiveDataset,
     Ranking,
+    format_ranking,
     prepare_rankings,
     rankings_fingerprint,
 )
@@ -56,17 +57,14 @@ mutations = st.lists(
 
 
 def apply_mutations(live: LiveDataset, steps) -> int:
-    """Replay a drawn mutation sequence; returns how many were applied."""
+    """Replay a drawn mutation sequence as write records through
+    :meth:`LiveDataset.apply`; returns how many were applied."""
     applied = 0
     for kind, position, ranking in steps:
-        if kind == "add":
-            live.add_ranking(ranking, index=position % (len(live) + 1))
-        elif kind == "remove":
-            if len(live) == 1:
-                continue
-            live.remove_ranking(position % len(live))
-        else:
-            live.update_ranking(position % len(live), ranking)
+        if kind == "remove" and len(live) == 1:
+            continue
+        index = position % (len(live) + (kind == "add"))
+        live.apply({"op": kind, "index": index, "ranking": format_ranking(ranking)})
         applied += 1
     return applied
 
@@ -193,6 +191,14 @@ class TestMutationContract:
         assert live.rankings == (third,)
         assert live.generation == 3
 
+    @pytest.mark.parametrize("index", [-1, 2, 5])
+    def test_add_index_outside_zero_to_m_is_refused(self, index):
+        live = LiveDataset([Ranking([["A"], ["B"]])])
+        with pytest.raises(IndexError):
+            live.add_ranking(Ranking([["B"], ["A"]]), index=index)
+        assert live.generation == 0
+        assert live.num_rankings == 1
+
     def test_sequence_protocol(self):
         first = Ranking([["A"], ["B"]])
         second = Ranking([["B"], ["A"]])
@@ -216,6 +222,76 @@ class TestMutationContract:
         assert live.last_delta_seconds == 0.0
         live.add_ranking(Ranking([["B"], ["A"]]))
         assert live.last_delta_seconds > 0.0
+
+
+class TestApplyRecords:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        initial=st.lists(rankings_with_ties(), min_size=1, max_size=5),
+        steps=mutations,
+    )
+    def test_inverse_undoes_and_resolved_replays(self, initial, steps):
+        """Applying a record's inverse restores the content; applying the
+        resolved records to a fresh copy reproduces it."""
+        live = LiveDataset(initial)
+        copy = LiveDataset(initial)
+        for kind, position, ranking in steps:
+            if kind == "remove" and len(live) == 1:
+                continue
+            index = position % (len(live) + (kind == "add"))
+            record = {"op": kind, "index": index, "ranking": format_ranking(ranking)}
+            before = live.content_fingerprint()
+            resolved, inverse = live.apply(record)
+            after = live.content_fingerprint()
+            assert resolved["index"] == index
+            if kind != "remove":
+                assert resolved["ranking"] == live.line_at(index)
+            live.apply(inverse)
+            assert live.content_fingerprint() == before
+            live.apply(resolved)
+            assert live.content_fingerprint() == after
+            copy.apply(resolved)
+            assert copy.content_fingerprint() == after
+        fresh = prepare_rankings(list(live.rankings))
+        assert np.array_equal(live.weights().before_matrix, fresh.weights.before_matrix)
+        assert np.array_equal(live.weights().tied_matrix, fresh.weights.tied_matrix)
+
+    def test_add_without_index_appends(self):
+        live = LiveDataset([Ranking([["A"], ["B"]])])
+        resolved, inverse = live.apply({"op": "add", "ranking": "[B],[A]"})
+        assert resolved == {"op": "add", "index": 1, "ranking": "[[B],[A]]"}
+        assert inverse == {"op": "remove", "index": 1}
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"op": "insert", "index": 0, "ranking": "[[A],[B]]"},
+            {"op": "remove", "index": True},
+            {"op": "remove", "index": 1.0},
+            {"op": "remove", "index": -1},
+            {"op": "remove", "index": 2},
+            {"op": "remove"},
+            {"op": "update", "index": 0},
+            {"op": "update", "index": 0, "ranking": "[[A],[C]]"},
+            {"op": "add", "index": -1, "ranking": "[[A],[B]]"},
+            {"op": "add", "index": 3, "ranking": "[[A],[B]]"},
+            {"op": "add", "index": "0", "ranking": "[[A],[B]]"},
+            {"op": "add", "ranking": ""},
+        ],
+    )
+    def test_refused_record_changes_nothing(self, record):
+        live = LiveDataset([Ranking([["A"], ["B"]]), Ranking([["B"], ["A"]])])
+        fingerprint = live.content_fingerprint()
+        with pytest.raises(ValueError):
+            live.apply(record)
+        assert live.generation == 0
+        assert live.content_fingerprint() == fingerprint
+
+    def test_removing_the_last_ranking_is_refused(self):
+        live = LiveDataset([Ranking([["A"], ["B"]])])
+        with pytest.raises(EmptyDatasetError):
+            live.apply({"op": "remove", "index": 0})
+        assert live.generation == 0
 
 
 class TestBackendEquivalence:

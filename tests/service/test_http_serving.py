@@ -248,7 +248,7 @@ def test_live_mutate_repair_republish_round_trip(tmp_path):
             from repro.core.live import LiveDataset
 
             live = LiveDataset(dataset.rankings, name="rt")
-            live.add_ranking(dataset.rankings[0])
+            live.apply({"op": "add", "ranking": line})
             code, served = await client.aggregate(
                 live.snapshot(), algorithm="BioConsert", budget_seconds=0.05
             )

@@ -107,7 +107,7 @@ class TestLiveAggregationSession:
         assert cold.warm_start is False
         assert cold.previous_score is None
         assert session.score == cold.score
-        session.update_ranking(0, Ranking([["D"], ["C"], ["B"], ["A"]]))
+        session.mutate({"op": "update", "index": 0, "ranking": "[[D],[C],[B],[A]]"})
         assert session.is_stale
         warm = session.serve()
         assert warm.warm_start is True
@@ -137,7 +137,7 @@ class TestLiveAggregationSession:
         )
         assert hit.cache_hit
         assert hit.score == report.score
-        session.add_ranking(Ranking([["D"], ["C"], ["B"], ["A"]]))
+        session.mutate({"op": "add", "ranking": "[[D],[C],[B],[A]]"})
         repaired = session.repair()
         assert repaired.invalidated >= 1
         hit_after = frontend.submit(
@@ -152,13 +152,20 @@ class TestLiveAggregationSession:
         with pytest.raises(TypeError, match="anytime"):
             LiveAggregationSession(_rankings(), algorithm="BordaCount")
 
-    def test_mutation_delegation_returns_values(self):
+    def test_mutate_returns_the_resolved_record(self):
         session = LiveAggregationSession(LiveDataset(_rankings()))
-        extra = Ranking([["D"], ["C"], ["B"], ["A"]])
-        assert session.add_ranking(extra) == 3
-        assert session.remove_ranking(3) == extra
-        previous = session.dataset[0]
-        assert session.update_ranking(0, extra) == previous
+        extra = "[[D],[C],[B],[A]]"
+        assert session.mutate({"op": "add", "index": None, "ranking": extra}) == {
+            "op": "add", "index": 3, "ranking": extra
+        }
+        assert session.mutate({"op": "remove", "index": 3}) == {
+            "op": "remove", "index": 3
+        }
+        # An unbracketed line resolves to the canonical one the journal stores.
+        assert session.mutate({"op": "update", "index": 0, "ranking": " [D],[C],[B],[A] "}) == {
+            "op": "update", "index": 0, "ranking": extra
+        }
+        assert session.dataset[0] == Ranking([["D"], ["C"], ["B"], ["A"]])
 
     def test_report_describe_is_flat(self):
         session = LiveAggregationSession(
@@ -176,9 +183,7 @@ class TestChurnWorkload:
         profile = ChurnProfile(num_mutations=12, seed=9)
         first = build_mutation_stream(live, profile)
         second = build_mutation_stream(LiveDataset(_rankings()), profile)
-        assert [(kind, payload) for kind, payload in first] == [
-            (kind, payload) for kind, payload in second
-        ]
+        assert first == second
         assert len(first) == 12
 
     def test_run_churn_load_payload(self, frontend):
@@ -195,15 +200,10 @@ class TestChurnWorkload:
 
     def test_churn_keeps_weights_equal_to_rebuild(self):
         live = LiveDataset(_rankings(), name="churn-eq")
-        for kind, item in build_mutation_stream(
+        for record in build_mutation_stream(
             live, ChurnProfile(num_mutations=20, seed=5)
         ):
-            if kind == "add":
-                live.add_ranking(item)
-            elif kind == "remove":
-                live.remove_ranking(item)
-            else:
-                live.update_ranking(*item)
+            live.apply(record)
         fresh = prepare_rankings(list(live.rankings))
         assert np.array_equal(
             live.weights().before_matrix, fresh.weights.before_matrix

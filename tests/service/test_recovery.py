@@ -23,6 +23,14 @@ from repro.service.live import LiveAggregationSession
 from repro.testing.faults import FaultInjector, FaultRule, TransientRunError, injected
 
 
+def _add(ranking):
+    return {"op": "add", "index": None, "ranking": format_ranking(ranking)}
+
+
+def _update(index, ranking):
+    return {"op": "update", "index": index, "ranking": format_ranking(ranking)}
+
+
 def _session(tmp_path, **kwargs):
     dataset = uniform_dataset(5, 8, 2015)
     defaults = dict(budget_seconds=0.05, seed=7, journal_dir=tmp_path / "wal")
@@ -33,10 +41,10 @@ def _session(tmp_path, **kwargs):
 def test_recovered_session_matches_crashed_state(tmp_path):
     session, dataset = _session(tmp_path)
     first = session.repair()
-    session.add_ranking(dataset.rankings[0])
-    session.update_ranking(2, dataset.rankings[1])
+    session.mutate(_add(dataset.rankings[0]))
+    session.mutate(_update(2, dataset.rankings[1]))
     second = session.repair()
-    session.remove_ranking(0)
+    session.mutate({"op": "remove", "index": 0})
     # No close(): simulate the process dying with the journal mid-flight.
     # Appends are flushed per record, so everything acknowledged is on disk.
     recovered = LiveAggregationSession.recover(
@@ -68,11 +76,11 @@ def test_failed_journal_append_rolls_the_mutation_back(tmp_path):
     )
     with injected(injector):
         with pytest.raises(TransientRunError):
-            session.add_ranking(dataset.rankings[0])
+            session.mutate(_add(dataset.rankings[0]))
         with pytest.raises(TransientRunError):
-            session.remove_ranking(1)
+            session.mutate({"op": "remove", "index": 1})
         with pytest.raises(TransientRunError):
-            session.update_ranking(0, dataset.rankings[3])
+            session.mutate(_update(0, dataset.rankings[3]))
     # Un-acknowledged mutations left no trace: content identical, and the
     # recovered state agrees (acknowledged ⊆ journaled).
     assert session.dataset.content_fingerprint() == before_fingerprint
@@ -92,7 +100,7 @@ def test_failed_journal_append_rolls_the_mutation_back(tmp_path):
 def test_compaction_keeps_recovery_identical(tmp_path):
     session, dataset = _session(tmp_path, compact_every=3)
     for step in range(4):
-        session.add_ranking(dataset.rankings[step % len(dataset.rankings)])
+        session.mutate(_add(dataset.rankings[step % len(dataset.rankings)]))
         session.repair()  # compaction triggers inside repair
     snapshots = list((tmp_path / "wal").glob("snapshot-*.json"))
     assert snapshots, "compact_every never produced a snapshot"
@@ -120,7 +128,7 @@ def test_recovery_warm_start_republishes_to_frontend(tmp_path):
     )
     session, dataset = _session(tmp_path, frontend=frontend)
     session.repair()
-    session.add_ranking(dataset.rankings[1])
+    session.mutate(_add(dataset.rankings[1]))
     session.close()
     recovered = LiveAggregationSession.recover(
         tmp_path / "wal", frontend=frontend, budget_seconds=0.05, seed=7
@@ -217,7 +225,7 @@ def test_server_restart_recovers_live_sessions(tmp_path):
 def test_recovery_survives_torn_tail_from_kill(tmp_path):
     """A torn trailing record — half a write at death — is truncated."""
     session, dataset = _session(tmp_path)
-    session.add_ranking(dataset.rankings[0])
+    session.mutate(_add(dataset.rankings[0]))
     session.close()
     segment = sorted((tmp_path / "wal").glob("segment-*.log"))[-1]
     with open(segment, "ab") as handle:

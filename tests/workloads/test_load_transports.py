@@ -24,6 +24,7 @@ import pytest
 
 import repro.workloads.recovery as recovery
 from repro.core.live import LiveDataset
+from repro.core.ranking import parse_ranking
 from repro.service import ServiceFrontend
 from repro.service.http import HttpAggregationServer
 from repro.service.http.protocol import decode_aggregate_request
@@ -81,18 +82,19 @@ SERVING = HttpLoadProfile(
 def _stream_digest(stream) -> str:
     """SHA-256 of a mutation stream with every bucket in sorted order."""
 
-    def buckets(ranking):
-        return [sorted(bucket) for bucket in ranking.buckets]
+    def buckets(line):
+        return [sorted(bucket) for bucket in parse_ranking(line).buckets]
 
     document = []
-    for kind, payload in stream:
+    for record in stream:
+        kind = record["op"]
         if kind == "add":
-            document.append([kind, buckets(payload)])
+            assert record["index"] is None  # appends
+            document.append([kind, buckets(record["ranking"])])
         elif kind == "remove":
-            document.append([kind, payload])
+            document.append([kind, record["index"]])
         else:
-            index, ranking = payload
-            document.append([kind, [index, buckets(ranking)]])
+            document.append([kind, [record["index"], buckets(record["ranking"])]])
     canonical = json.dumps(document, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
