@@ -15,7 +15,7 @@ oracles (``tests/oracles``):
   batched all-pairs tensor kernel;
 * **bioconsert-multistart** at (n=100, m=50), the lockstep lanes of
   ``BioConsert().aggregate`` against the same starts searched one lane at a
-  time through ``anytime_refine`` and scored one by one.
+  time through ``anytime_refine``, each sweep scored.
 
 Every (kernel, n, m) cell is timed over a few repeats and the **median**
 timings are written to a machine-readable ``BENCH_kernels.json`` (path
@@ -54,11 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.algorithms import BioConsert, Chanas
-from repro.core import (
-    PairwiseWeights,
-    generalized_kemeny_score_from_weights,
-    pairwise_distance_matrix,
-)
+from repro.core import PairwiseWeights, pairwise_distance_matrix
 from repro.experiments.report import format_table
 from repro.generators.uniform import uniform_dataset
 
@@ -206,15 +202,14 @@ def _one_start_at_a_time(rankings, weights):
     """BioConsert's starts searched one lane at a time, best score kept.
 
     Each start's trajectory is drained through ``anytime_refine`` (one
-    sweep per item) and scored; the earliest start wins score ties, as in
+    scored sweep per item); the earliest start wins score ties, as in
     ``BioConsert().aggregate``.
     """
     algorithm = BioConsert()
     best, best_score = None, None
     for start in dict.fromkeys(rankings):
-        for candidate in algorithm.anytime_refine(start, weights):
+        for candidate, score in algorithm.anytime_refine(start, weights):
             pass
-        score = generalized_kemeny_score_from_weights(candidate, weights)
         if best_score is None or score < best_score:
             best, best_score = candidate, score
     return best, best_score

@@ -15,7 +15,7 @@ Three families (Section 3):
 
 from .ailon import AilonThreeHalves
 from .annealing import SimulatedAnnealing
-from .anytime import AnytimeController, SupportsAnytime, run_anytime, supports_anytime
+from .anytime import AnytimeAggregator, AnytimeController, run_anytime, supports_anytime
 from .base import AggregationResult, RankAggregator
 from .bioconsert import BioConsert
 from .chained import ChainedAggregator
@@ -44,8 +44,8 @@ from .repeat_choice import RepeatChoice
 __all__ = [
     "RankAggregator",
     "AggregationResult",
+    "AnytimeAggregator",
     "AnytimeController",
-    "SupportsAnytime",
     "supports_anytime",
     "run_anytime",
     "AilonThreeHalves",

@@ -27,15 +27,13 @@ import numpy as np
 from ..core.kemeny import generalized_kemeny_score_from_weights
 from ..core.pairwise import PairwiseWeights
 from ..core.ranking import Ranking
-from ..datasets.dataset import Dataset
-from .anytime import AnytimeController, dataset_label, resolve_weights
-from .base import RankAggregator
+from .anytime import AnytimeAggregator, ScoredCandidate
 from .pick_a_perm import PickAPerm
 
 __all__ = ["SimulatedAnnealing"]
 
 
-class SimulatedAnnealing(RankAggregator):
+class SimulatedAnnealing(AnytimeAggregator):
     """Anytime annealing refiner over the BioConsert move neighbourhood."""
 
     name = "SimulatedAnnealing"
@@ -84,69 +82,39 @@ class SimulatedAnnealing(RankAggregator):
         self._moves_accepted = 0
 
     # ------------------------------------------------------------------ #
-    def _aggregate(
-        self, rankings: Sequence[Ranking], weights: PairwiseWeights
-    ) -> Ranking:
-        start = PickAPerm()._aggregate(rankings, weights)
-        return self.refine_from(start, weights)
-
     def refine_from(self, start: Ranking, weights: PairwiseWeights) -> Ranking:
         """Refine an existing consensus; the result is never worse than ``start``."""
         candidate = start
-        for candidate in self.anytime_refine(start, weights):
+        for candidate, _ in self.anytime_refine(start, weights):
             pass
         return candidate
 
     # ------------------------------------------------------------------ #
     # Anytime protocol (see repro.algorithms.anytime)
     # ------------------------------------------------------------------ #
-    def begin_anytime(
-        self,
-        dataset: Dataset | Sequence[Ranking],
-        weights: PairwiseWeights | None = None,
-        *,
-        initial: Ranking | None = None,
-    ) -> AnytimeController:
-        """Start an incremental annealing run over ``dataset``.
-
-        Each :meth:`AnytimeController.step` advances the schedule by one
-        temperature plateau where the best ranking visited improved; the
-        controller always holds the best ranking so far.  Pre-computed
-        ``weights`` may be passed to skip the pairwise construction.  A
-        warm-start ``initial`` consensus replaces the Pick-a-Perm start
-        (the annealing walk explores from it; the best-so-far tracking
-        keeps the result never worse than ``initial``).
-        """
-        rankings = self._validate(dataset)
-        weights = resolve_weights(dataset, rankings, weights)
-        return AnytimeController(
-            self.name,
-            self._anytime_candidates(rankings, weights, initial=initial),
-            weights,
-            dataset_name=dataset_label(dataset),
-        )
-
     def _anytime_candidates(
         self,
         rankings: Sequence[Ranking],
         weights: PairwiseWeights,
         initial: Ranking | None = None,
-    ) -> Iterator[Ranking]:
+    ) -> Iterator[ScoredCandidate]:
         """Candidate stream: the Pick-a-Perm start (or the warm-start
-        ``initial`` when given), then per-plateau bests."""
+        ``initial`` when given, which the annealing walk then explores
+        from), then the best ranking so far after each temperature plateau
+        that improved it."""
         start = initial if initial is not None else PickAPerm()._aggregate(rankings, weights)
         yield from self.anytime_refine(start, weights)
 
     def anytime_refine(
         self, start: Ranking, weights: PairwiseWeights
-    ) -> Iterator[Ranking]:
+    ) -> Iterator[ScoredCandidate]:
         """Incremental form of :meth:`refine_from`.
 
         Yields ``start`` first, then the best ranking visited so far after
         each temperature plateau *that improved it* (the geometric schedule
-        walks ~1.5k plateaus; yielding each one would make the consumer
-        re-score ~1.5k identical candidates).  The final item equals the
-        batch :meth:`refine_from` result.
+        walks ~1.5k plateaus; yielding each one would hand the consumer
+        ~1.5k identical candidates), each with its tracked exact score.
+        The final item equals the batch :meth:`refine_from` result.
         """
         rng = self._rng()
         cost_before = weights.cost_before().astype(np.int64)
@@ -154,14 +122,14 @@ class SimulatedAnnealing(RankAggregator):
         index_of = weights.index_of
         elements = weights.elements
         n = len(elements)
-        yield start
+        current_score = generalized_kemeny_score_from_weights(start, weights)
+        yield start, current_score
         if n <= 1:
             return
 
         buckets: list[list[int]] = [
             [index_of[element] for element in bucket] for bucket in start.buckets
         ]
-        current_score = generalized_kemeny_score_from_weights(start, weights)
         best_buckets = [list(bucket) for bucket in buckets]
         best_score = current_score
 
@@ -191,7 +159,7 @@ class SimulatedAnnealing(RankAggregator):
                 yielded_score = best_score
                 yield Ranking(
                     [[elements[i] for i in bucket] for bucket in best_buckets if bucket]
-                )
+                ), best_score
 
     # ------------------------------------------------------------------ #
     def _propose_and_maybe_apply(

@@ -6,30 +6,33 @@ consensus found so far* instead of nothing.  This module defines the
 anytime contract the local-search family implements and the helpers the
 service layer (:mod:`repro.service`) builds on:
 
-* an algorithm that *supports anytime execution* exposes
-  ``begin_anytime(dataset)`` returning an :class:`AnytimeController`;
-* the controller advances the underlying search one increment at a time
-  (``step()`` — one local-search sweep, one Chanas round, one annealing
-  plateau, ...), tracking the best candidate seen so far
-  (:meth:`AnytimeController.best_so_far`) with a **monotone non-increasing**
-  generalized Kemeny score;
+* an anytime algorithm subclasses :class:`AnytimeAggregator` and
+  describes its search once, as ``_anytime_candidates(rankings, weights,
+  initial=None)``: a generator of ``(ranking, score)`` pairs, where
+  ``score`` is the candidate's exact generalized Kemeny score (the first
+  pair must come cheaply, so one step always yields a valid consensus —
+  even under an already-expired deadline);
+* :meth:`AnytimeAggregator.begin_anytime` wraps that stream in an
+  :class:`AnytimeController`, which advances it one increment per
+  ``step()`` (one local-search sweep, one Chanas round, one annealing
+  plateau, ...) and keeps the best candidate so far
+  (:meth:`AnytimeController.best_so_far`), whose score is **monotone
+  non-increasing**;
+* the batch ``aggregate()`` drains the same stream and keeps the first
+  candidate of lowest score, so a search run to completion returns
+  exactly the batch result;
 * :func:`run_anytime` drives a controller against a wall-clock deadline
   and packages the best candidate as a regular
   :class:`~repro.algorithms.base.AggregationResult`.
-
-Algorithms plug in by implementing ``_anytime_candidates(rankings,
-weights)``: a generator yielding successive candidate consensus rankings
-(the first yield must come cheaply, so a controller always holds a valid
-consensus after one step — even under an already-expired deadline).
 """
 
 from __future__ import annotations
 
 import time
+from abc import abstractmethod
 from collections.abc import Iterator, Sequence
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
-from ..core.kemeny import generalized_kemeny_score_from_weights
 from ..core.pairwise import PairwiseWeights
 from ..core.ranking import Ranking
 from ..datasets.dataset import Dataset
@@ -37,59 +40,24 @@ from ..telemetry import runtime as _telemetry
 from .base import AggregationResult, RankAggregator
 
 __all__ = [
+    "AnytimeAggregator",
     "AnytimeController",
-    "SupportsAnytime",
     "supports_anytime",
-    "resolve_weights",
-    "dataset_label",
     "run_anytime",
 ]
 
+# A candidate consensus and its exact generalized Kemeny score.
+ScoredCandidate = tuple[Ranking, int]
 
-def dataset_label(dataset: Dataset | Sequence[Ranking]) -> str:
-    """Telemetry label of an anytime search's input.
 
-    Parameters
-    ----------
-    dataset:
-        The original argument of ``begin_anytime``; a
-        :class:`~repro.datasets.Dataset` contributes its name, a plain
-        sequence of rankings has none.
+class AnytimeAggregator(RankAggregator):
+    """A rank aggregator whose search is a stream of scored candidates.
+
+    Subclasses implement :meth:`_anytime_candidates`; the anytime entry
+    point :meth:`begin_anytime` and the batch :meth:`_aggregate` both
+    consume that one stream.  Construction takes the ``seed`` keyword of
+    :class:`~repro.algorithms.base.RankAggregator`.
     """
-    return dataset.name if isinstance(dataset, Dataset) else ""
-
-
-def resolve_weights(
-    dataset: Dataset | Sequence[Ranking],
-    rankings: Sequence[Ranking],
-    weights: PairwiseWeights | None,
-) -> PairwiseWeights:
-    """Pairwise weights for an anytime search, reusing shared preparation.
-
-    Resolution order: explicitly passed ``weights`` (the portfolio
-    scheduler shares one build across its racers), then the dataset's
-    memoized preparation plan (:meth:`repro.datasets.Dataset.prepared`),
-    then a fresh build from the validated rankings.
-
-    Parameters
-    ----------
-    dataset:
-        The original argument of ``begin_anytime`` (dataset or sequence).
-    rankings:
-        The validated rankings of ``dataset``.
-    weights:
-        Caller-supplied pre-computed weights, or ``None``.
-    """
-    if weights is not None:
-        return weights
-    if isinstance(dataset, Dataset):
-        return dataset.prepared().weights
-    return PairwiseWeights(rankings)
-
-
-@runtime_checkable
-class SupportsAnytime(Protocol):
-    """Structural type of algorithms exposing the anytime protocol."""
 
     def begin_anytime(
         self,
@@ -100,50 +68,82 @@ class SupportsAnytime(Protocol):
     ) -> "AnytimeController":
         """Start an incremental search over ``dataset``.
 
-        Implementations accept optional pre-computed pairwise ``weights``
-        so callers racing several searches over one dataset (the portfolio
-        scheduler) can share a single O(m·n²) construction, and an optional
-        ``initial`` consensus to warm-start from: its refinement trajectory
-        is searched *first*, so a warm-started run over a slightly mutated
-        dataset (:class:`~repro.core.live.LiveDataset` repair) reconverges
-        in a fraction of the cold search — while the cold candidate stream
-        still follows, keeping the completed result never worse than a cold
-        run's.
+        Parameters
+        ----------
+        dataset:
+            The complete dataset (or sequence of rankings) to aggregate.
+        weights:
+            Pre-computed pairwise weights of ``dataset``; callers racing
+            several searches over one dataset (the portfolio scheduler)
+            share a single O(m·n²) construction.  Otherwise the dataset's
+            memoized preparation plan is used, or a fresh build for a plain
+            sequence of rankings.
+        initial:
+            Optional consensus to warm-start from: its refinement
+            trajectory is searched *first*, so a warm-started run over a
+            slightly mutated dataset (:class:`~repro.core.live.LiveDataset`
+            repair) reconverges in a fraction of the cold search, while the
+            cold candidate stream still follows (for the chained and
+            annealing searches, ``initial`` replaces the cold start).
         """
+        rankings = self._validate(dataset)
+        if weights is None:
+            if isinstance(dataset, Dataset):
+                weights = dataset.prepared().weights
+            else:
+                weights = PairwiseWeights(rankings)
+        return AnytimeController(
+            self.name,
+            self._anytime_candidates(rankings, weights, initial=initial),
+            dataset_name=dataset.name if isinstance(dataset, Dataset) else "",
+        )
+
+    @abstractmethod
+    def _anytime_candidates(
+        self,
+        rankings: Sequence[Ranking],
+        weights: PairwiseWeights,
+        initial: Ranking | None = None,
+    ) -> Iterator[ScoredCandidate]:
+        """The search, as successive ``(candidate, exact score)`` pairs."""
+
+    def _aggregate(
+        self, rankings: Sequence[Ranking], weights: PairwiseWeights
+    ) -> Ranking:
+        """Drain the candidate stream; the earliest lowest score wins."""
+        best, best_score = None, None
+        for candidate, score in self._anytime_candidates(rankings, weights):
+            if best_score is None or score < best_score:
+                best, best_score = candidate, score
+        assert best is not None, "anytime search yielded no candidate"
+        return best
 
 
 def supports_anytime(algorithm: object) -> bool:
-    """Whether ``algorithm`` implements the anytime protocol.
-
-    Parameters
-    ----------
-    algorithm:
-        Any object; returns ``True`` when it exposes a callable
-        ``begin_anytime`` attribute.
-    """
-    return callable(getattr(algorithm, "begin_anytime", None))
+    """Whether ``algorithm`` implements the anytime protocol
+    (is an :class:`AnytimeAggregator`)."""
+    return isinstance(algorithm, AnytimeAggregator)
 
 
 class AnytimeController:
     """Drives one incremental search and tracks the best candidate so far.
 
-    A controller wraps a candidate generator produced by an algorithm's
+    A controller wraps the scored candidate stream of an algorithm's
     ``_anytime_candidates`` hook.  Each :meth:`step` call advances the
-    generator by one increment, scores the yielded candidate and keeps it
-    when it improves on the best seen so far — so
-    :meth:`best_so_far` / :attr:`best_score` are monotone (the score never
-    increases across steps).
+    stream by one increment and keeps the yielded candidate when its score
+    improves on the best seen so far — so :meth:`best_so_far` /
+    :attr:`best_score` are monotone (the score never increases across
+    steps).
 
     Parameters
     ----------
     algorithm_name:
         Name reported on the packaged :class:`AggregationResult`.
     candidates:
-        Iterator yielding successive candidate consensus rankings.  The
-        first item must be produced cheaply (a starting candidate), so one
+        Iterator yielding successive ``(candidate, score)`` pairs, the
+        score being the candidate's exact generalized Kemeny score.  The
+        first pair must be produced cheaply (a starting candidate), so one
         ``step()`` always suffices to hold a valid consensus.
-    weights:
-        Pairwise weights of the input dataset, used to score candidates.
     dataset_name:
         Optional dataset label recorded on the telemetry convergence
         stream (empty for anonymous ranking sequences).
@@ -152,13 +152,11 @@ class AnytimeController:
     def __init__(
         self,
         algorithm_name: str,
-        candidates: Iterator[Ranking],
-        weights: PairwiseWeights,
+        candidates: Iterator[ScoredCandidate],
         *,
         dataset_name: str = "",
     ):
         self.algorithm_name = algorithm_name
-        self.weights = weights
         self.dataset_name = dataset_name
         self._candidates = candidates
         self._best: Ranking | None = None
@@ -204,12 +202,11 @@ class AnytimeController:
         if self._started is None:
             self._started = time.perf_counter()
         try:
-            candidate = next(self._candidates)
+            candidate, score = next(self._candidates)
         except StopIteration:
             self._finished = True
             return False
         self._steps += 1
-        score = generalized_kemeny_score_from_weights(candidate, self.weights)
         if self._best_score is None or score < self._best_score:
             self._best = candidate
             self._best_score = score
@@ -273,28 +270,25 @@ def run_anytime(
     dataset: Dataset | Sequence[Ranking],
     budget_seconds: float | None,
     *,
-    min_steps: int = 1,
     initial: Ranking | None = None,
 ) -> AggregationResult:
     """Run ``algorithm`` on ``dataset`` under a wall-clock deadline.
 
     The algorithm must implement the anytime protocol
     (:func:`supports_anytime`).  The search is advanced step by step until
-    it finishes or the budget is exhausted; the best consensus found so far
-    is always returned — a deadline never produces "no result".
+    it finishes or the budget is exhausted; the first step is always
+    taken, so the best consensus found so far is always returned — a
+    deadline never produces "no result".
 
     Parameters
     ----------
     algorithm:
-        An aggregator exposing ``begin_anytime`` (BioConsert, Chanas,
-        ChanasBoth, chained variants, simulated annealing).
+        An :class:`AnytimeAggregator` (BioConsert, Chanas, ChanasBoth,
+        chained variants, simulated annealing).
     dataset:
         The complete dataset (or sequence of rankings) to aggregate.
     budget_seconds:
         Wall-clock budget; ``None`` runs the search to completion.
-    min_steps:
-        Steps always taken regardless of the deadline (default 1, which
-        guarantees a valid consensus even under an expired budget).
     initial:
         Optional consensus to warm-start the search from (e.g. the
         pre-mutation consensus when repairing after a
@@ -305,22 +299,13 @@ def run_anytime(
     if not supports_anytime(algorithm):
         raise TypeError(
             f"{type(algorithm).__name__} does not support anytime execution; "
-            "expected a begin_anytime(dataset) method"
+            "expected an AnytimeAggregator"
         )
     start = time.perf_counter()
-    if initial is None:
-        controller = algorithm.begin_anytime(dataset)
-    else:
-        controller = algorithm.begin_anytime(dataset, initial=initial)
+    controller = algorithm.begin_anytime(dataset, initial=initial)
     deadline = None if budget_seconds is None else start + budget_seconds
-    while True:
-        if (
-            deadline is not None
-            and controller.steps >= min_steps
-            and time.perf_counter() >= deadline
-        ):
-            break
-        if not controller.step():
+    while controller.step():
+        if deadline is not None and time.perf_counter() >= deadline:
             break
     elapsed = time.perf_counter() - start
     return controller.result(

@@ -58,7 +58,10 @@ lanes' local optima the earliest start wins score ties.
 time, one sweep per step, on the same kernel with a single lane.  A
 lockstep sweep is too coarse to be one anytime step: the first sweep over
 50 lanes at m=50, n=200 takes 56–75 ms against 9–14 ms for one lane (one
-core of a 2-vCPU VM), already past a 50 ms serving budget by itself.
+core of a 2-vCPU VM), already past a 50 ms serving budget by itself.  So
+BioConsert is the one anytime algorithm whose batch :meth:`aggregate`
+does not drain its candidate stream; the test suite pins the lockstep
+result to the drained stream's best.
 """
 
 from __future__ import annotations
@@ -67,18 +70,19 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from ..core.kemeny import generalized_kemeny_scores_of_stack
+from ..core.kemeny import (
+    generalized_kemeny_score_from_weights,
+    generalized_kemeny_scores_of_stack,
+)
 from ..core.pairwise import PairwiseWeights
 from ..core.ranking import Ranking
-from ..datasets.dataset import Dataset
-from .anytime import AnytimeController, dataset_label, resolve_weights
-from .base import RankAggregator
+from .anytime import AnytimeAggregator, ScoredCandidate
 from .borda import BordaCount
 
 __all__ = ["BioConsert"]
 
 
-class BioConsert(RankAggregator):
+class BioConsert(AnytimeAggregator):
     """Local search over rankings with ties (move-to-bucket / move-to-new-bucket)."""
 
     name = "BioConsert"
@@ -143,49 +147,21 @@ class BioConsert(RankAggregator):
         ``start`` because every accepted move strictly decreases the score.
         """
         candidate = start
-        for candidate in self._sweep_candidates(start, weights, _weight_rows(weights)):
+        for candidate, _ in self.anytime_refine(start, weights):
             pass
         return candidate
 
     # ------------------------------------------------------------------ #
     # Anytime protocol (see repro.algorithms.anytime)
     # ------------------------------------------------------------------ #
-    def begin_anytime(
-        self,
-        dataset: Dataset | Sequence[Ranking],
-        weights: PairwiseWeights | None = None,
-        *,
-        initial: Ranking | None = None,
-    ) -> AnytimeController:
-        """Start an incremental search over ``dataset``.
-
-        Each :meth:`AnytimeController.step` advances the search by one full
-        improvement sweep of one start (the starts run one after another,
-        each along the trajectory its lane follows in :meth:`aggregate`);
-        the controller's best candidate is always a valid consensus.
-        Passing pre-computed ``weights`` skips the O(m·n²) pairwise
-        construction (the portfolio scheduler shares one build across its
-        racers).  Passing an ``initial`` consensus warm-starts the search:
-        its refinement trajectory runs first, with the regular cold starts
-        still following, so the completed result is never worse than a
-        cold run's.
-        """
-        rankings = self._validate(dataset)
-        weights = resolve_weights(dataset, rankings, weights)
-        return AnytimeController(
-            self.name,
-            self._anytime_candidates(rankings, weights, initial=initial),
-            weights,
-            dataset_name=dataset_label(dataset),
-        )
-
     def anytime_refine(
         self, start: Ranking, weights: PairwiseWeights
-    ) -> Iterator[Ranking]:
+    ) -> Iterator[ScoredCandidate]:
         """Incremental form of :meth:`refine_from` (one sweep per item).
 
         Yields ``start`` first, then the candidate after each improvement
-        sweep; used by the chained aggregators' anytime path.
+        sweep, each with its score; used by the chained aggregators'
+        anytime path.
         """
         return self._sweep_candidates(start, weights, _weight_rows(weights))
 
@@ -194,8 +170,10 @@ class BioConsert(RankAggregator):
         rankings: Sequence[Ranking],
         weights: PairwiseWeights,
         initial: Ranking | None = None,
-    ) -> Iterator[Ranking]:
-        """Candidate stream: every start's trajectory, one sweep at a time.
+    ) -> Iterator[ScoredCandidate]:
+        """Candidate stream: every start's trajectory, one sweep per step,
+        each start along the trajectory its lane follows in
+        :meth:`aggregate`.
 
         A warm-start ``initial`` is searched first (its trajectory usually
         reconverges within a couple of sweeps when the dataset changed only
@@ -212,17 +190,19 @@ class BioConsert(RankAggregator):
 
     def _sweep_candidates(
         self, start: Ranking, weights: PairwiseWeights, rows: np.ndarray
-    ) -> Iterator[Ranking]:
-        """Yield ``start``, then the candidate after each improvement sweep.
+    ) -> Iterator[ScoredCandidate]:
+        """Yield ``start``, then the candidate after each improvement sweep,
+        each with its score.
 
         One lane of the lockstep kernel; ``rows`` is :func:`_weight_rows`.
         """
         lane = _Lanes([start], weights, rows)
-        yield start
+        yield start, generalized_kemeny_score_from_weights(start, weights)
         for _ in range(self._max_sweeps):
             improved = lane.sweep()
             self._sweeps_used += 1
-            yield _reconstruct_ranking(lane.pos[0], lane.stamp[0], weights.elements)
+            candidate = _reconstruct_ranking(lane.pos[0], lane.stamp[0], weights.elements)
+            yield candidate, generalized_kemeny_score_from_weights(candidate, weights)
             if not improved[0]:
                 break
 

@@ -10,7 +10,8 @@ baselines of the paper.
 A :class:`ChainedAggregator` is built from
 
 * an *initial* aggregator — any :class:`~repro.algorithms.base.RankAggregator`;
-* a *refiner* — an object exposing ``refine_from(start, weights)``; both
+* a *refiner* — an object exposing ``anytime_refine(start, weights)``, a
+  stream of scored candidates starting at ``start``; both
   :class:`~repro.algorithms.bioconsert.BioConsert` (greedy local search) and
   :class:`~repro.algorithms.annealing.SimulatedAnnealing` do.
 
@@ -26,21 +27,23 @@ from typing import Protocol
 from ..core.kemeny import generalized_kemeny_score_from_weights
 from ..core.pairwise import PairwiseWeights
 from ..core.ranking import Ranking
-from ..datasets.dataset import Dataset
-from .anytime import AnytimeController, dataset_label, resolve_weights
+from .anytime import AnytimeAggregator, ScoredCandidate
 from .base import RankAggregator
 
 __all__ = ["ChainedAggregator", "ConsensusRefiner"]
 
 
 class ConsensusRefiner(Protocol):
-    """Anything that can improve an existing consensus in place."""
+    """Anything that can improve an existing consensus step by step."""
 
-    def refine_from(self, start: Ranking, weights: PairwiseWeights) -> Ranking:
-        """Return a consensus at least as good as ``start``."""
+    def anytime_refine(
+        self, start: Ranking, weights: PairwiseWeights
+    ) -> Iterator[ScoredCandidate]:
+        """Yield ``start``, then candidates never worse than it, each with
+        its exact generalized Kemeny score."""
 
 
-class ChainedAggregator(RankAggregator):
+class ChainedAggregator(AnytimeAggregator):
     """Run a fast algorithm, then refine its consensus with an anytime method."""
 
     name = "Chained"
@@ -65,13 +68,13 @@ class ChainedAggregator(RankAggregator):
             ``BordaCount()`` or ``MEDRank(0.5)``).
         refiner:
             The anytime refiner (e.g. ``SimulatedAnnealing(seed=0)`` or
-            ``BioConsert()``); must expose ``refine_from``.
+            ``BioConsert()``); must expose ``anytime_refine``.
         """
         super().__init__(seed=seed)
-        if not hasattr(refiner, "refine_from"):
+        if not hasattr(refiner, "anytime_refine"):
             raise TypeError(
                 f"{type(refiner).__name__} cannot be used as a refiner: "
-                "it does not expose refine_from(start, weights)"
+                "it does not expose anytime_refine(start, weights)"
             )
         self._initial = initial
         self._refiner = refiner
@@ -80,71 +83,25 @@ class ChainedAggregator(RankAggregator):
         self._initial_score: int | None = None
         self._refined_score: int | None = None
 
-    def _aggregate(
-        self, rankings: Sequence[Ranking], weights: PairwiseWeights
-    ) -> Ranking:
-        start = self._initial._aggregate(rankings, weights)
-        self._initial_score = generalized_kemeny_score_from_weights(start, weights)
-        refined = self._refiner.refine_from(start, weights)
-        self._refined_score = generalized_kemeny_score_from_weights(refined, weights)
-        # Anytime refiners only keep improvements, but guard against a refiner
-        # that would not honour the contract.
-        if self._refined_score > self._initial_score:
-            return start
-        return refined
-
-    # ------------------------------------------------------------------ #
-    # Anytime protocol (see repro.algorithms.anytime)
-    # ------------------------------------------------------------------ #
-    def begin_anytime(
-        self,
-        dataset: Dataset | Sequence[Ranking],
-        weights: PairwiseWeights | None = None,
-        *,
-        initial: Ranking | None = None,
-    ) -> AnytimeController:
-        """Start an incremental chained run over ``dataset``.
-
-        The first step produces the initial algorithm's consensus (a valid
-        result on its own); subsequent steps advance the refiner
-        incrementally when it supports the anytime protocol
-        (``anytime_refine``), or apply it in one final step otherwise.
-        Pre-computed ``weights`` may be passed to skip the pairwise
-        construction.  A warm-start ``initial`` consensus replaces the
-        initial algorithm's output as the refiner's starting point.
-        """
-        rankings = self._validate(dataset)
-        weights = resolve_weights(dataset, rankings, weights)
-        return AnytimeController(
-            self.name,
-            self._anytime_candidates(rankings, weights, initial=initial),
-            weights,
-            dataset_name=dataset_label(dataset),
-        )
-
     def _anytime_candidates(
         self,
         rankings: Sequence[Ranking],
         weights: PairwiseWeights,
         initial: Ranking | None = None,
-    ) -> Iterator[Ranking]:
-        """Candidate stream: the initial consensus (the warm-start
-        ``initial`` when given), then refinement steps."""
+    ) -> Iterator[ScoredCandidate]:
+        """Candidate stream: the initial algorithm's consensus (a valid
+        result on its own), then the refiner's stream from it, one
+        refinement increment per step.  A warm-start ``initial`` replaces
+        the initial algorithm's output as the refiner's starting point."""
         if initial is not None:
             start = initial
         else:
             start = self._initial._aggregate(rankings, weights)
-        self._initial_score = generalized_kemeny_score_from_weights(start, weights)
-        yield start
-        anytime_refine = getattr(self._refiner, "anytime_refine", None)
-        refined = start
-        if anytime_refine is not None:
-            for refined in anytime_refine(start, weights):
-                yield refined
-        else:
-            refined = self._refiner.refine_from(start, weights)
-            yield refined
-        self._refined_score = generalized_kemeny_score_from_weights(refined, weights)
+        score = self._initial_score = generalized_kemeny_score_from_weights(start, weights)
+        yield start, score
+        for candidate, score in self._refiner.anytime_refine(start, weights):
+            yield candidate, score
+        self._refined_score = score
 
     def _last_details(self) -> dict[str, object]:
         improvement = None

@@ -43,18 +43,15 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from ..core.kemeny import generalized_kemeny_score_from_weights
 from ..core.pairwise import PairwiseWeights
 from ..core.ranking import Ranking
-from ..datasets.dataset import Dataset
-from .anytime import AnytimeController, dataset_label, resolve_weights
-from .base import RankAggregator
+from .anytime import AnytimeAggregator, ScoredCandidate
 from .borda import borda_scores_from_weights
 
 __all__ = ["Chanas", "ChanasBoth"]
 
 
-class Chanas(RankAggregator):
+class Chanas(AnytimeAggregator):
     """Alternate insertion-sort improvement passes and permutation reversal."""
 
     name = "Chanas"
@@ -78,116 +75,56 @@ class Chanas(RankAggregator):
         super().__init__(seed=seed)
         self._max_rounds = max_rounds
 
-    # ------------------------------------------------------------------ #
-    def _aggregate(
+    def _starts(
         self, rankings: Sequence[Ranking], weights: PairwiseWeights
-    ) -> Ranking:
-        order = self._initial_order(rankings, weights)
-        cost_before = weights.cost_before()
-        improved_order = self._chanas_procedure(order, cost_before)
-        return Ranking.from_permutation([weights.elements[i] for i in improved_order])
-
-    def _initial_order(
-        self, rankings: Sequence[Ranking], weights: PairwiseWeights
-    ) -> list[int]:
+    ) -> list[list[int]]:
+        """Starting permutations: the Borda order."""
         scores = borda_scores_from_weights(weights)
         ordered = sorted(weights.elements, key=lambda element: scores[element])
-        return [weights.index_of[element] for element in ordered]
-
-    # ------------------------------------------------------------------ #
-    # Anytime protocol (see repro.algorithms.anytime)
-    # ------------------------------------------------------------------ #
-    def begin_anytime(
-        self,
-        dataset: Dataset | Sequence[Ranking],
-        weights: PairwiseWeights | None = None,
-        *,
-        initial: Ranking | None = None,
-    ) -> AnytimeController:
-        """Start an incremental search over ``dataset``.
-
-        Each :meth:`AnytimeController.step` advances the search by one
-        Chanas round (one sort-to-fixpoint pass); the candidate sequence is
-        the trajectory :meth:`aggregate` walks, so the controller's final
-        best equals the batch result.  Pre-computed ``weights`` may be
-        passed to skip the pairwise construction.  A warm-start ``initial``
-        consensus (ties broken into a permutation) is searched first, the
-        regular Borda trajectory after — the completed best is never worse
-        than a cold run's.
-        """
-        rankings = self._validate(dataset)
-        weights = resolve_weights(dataset, rankings, weights)
-        return AnytimeController(
-            self.name,
-            self._anytime_candidates(rankings, weights, initial=initial),
-            weights,
-            dataset_name=dataset_label(dataset),
-        )
-
-    def _warm_order(self, initial: Ranking, weights: PairwiseWeights) -> list[int]:
-        """Index permutation of a warm-start consensus (ties broken)."""
-        permutation = initial.break_ties()
-        return [weights.index_of[element] for element in permutation.elements()]
+        return [[weights.index_of[element] for element in ordered]]
 
     def _anytime_candidates(
         self,
         rankings: Sequence[Ranking],
         weights: PairwiseWeights,
         initial: Ranking | None = None,
-    ) -> Iterator[Ranking]:
-        """Candidate stream: the Borda start, then each round's permutation
-        (preceded by the warm-start trajectory when ``initial`` is given)."""
-        cost_before = weights.cost_before()
-        orders = [self._initial_order(rankings, weights)]
-        if initial is not None:
-            orders.insert(0, self._warm_order(initial, weights))
-        for order in orders:
-            for candidate in self._chanas_rounds(order, cost_before):
-                yield Ranking.from_permutation(
-                    [weights.elements[i] for i in candidate]
-                )
+    ) -> Iterator[ScoredCandidate]:
+        """Candidate stream: every start's rounds, one Chanas round (one
+        sort-to-fixpoint pass) per step; a warm-start ``initial`` (ties
+        broken into a permutation) comes first.
 
-    # ------------------------------------------------------------------ #
-    def _chanas_procedure(
-        self, order: list[int], cost_before: np.ndarray
-    ) -> list[int]:
-        """Alternate sort passes and reversals until no improvement.
-
-        Returns the best permutation over the rounds (costs strictly
-        decrease while rounds are kept, so the best is the last improving
-        round — or the starting order when no round improves).
+        A permutation's cost under ``cost_before`` is exactly its
+        generalized Kemeny score, so each round is scored once, here.
         """
-        best: list[int] | None = None
-        best_cost: int | None = None
-        for candidate in self._chanas_rounds(order, cost_before):
-            cost = _permutation_cost(candidate, cost_before)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = list(candidate), cost
-        assert best is not None
-        return best
+        cost_before = weights.cost_before()
+        starts = self._starts(rankings, weights)
+        if initial is not None:
+            starts.insert(0, _untied_order(initial, weights))
+        for start in starts:
+            for order, cost in self._chanas_rounds(start, cost_before):
+                yield Ranking.from_permutation([weights.elements[i] for i in order]), cost
 
     def _chanas_rounds(
         self, order: list[int], cost_before: np.ndarray
-    ) -> Iterator[list[int]]:
-        """Yield the starting order, then the result of each Chanas round.
+    ) -> Iterator[tuple[list[int], int]]:
+        """Yield the starting order, then the result of each Chanas round,
+        each with its cost.
 
         A round is one sort-to-fixpoint pass; the alternation reverses the
         permutation between rounds and stops once a round no longer
-        improves on the best cost so far — the same trajectory the batch
-        procedure walks.
+        improves on the best cost so far.
         """
         current = list(order)
         best_cost = _permutation_cost(current, cost_before)
-        yield list(current)
+        yield current, best_cost
         for _ in range(self._max_rounds):
             current = _sort_pass_to_fixpoint(current, cost_before)
             cost = _permutation_cost(current, cost_before)
-            yield list(current)
-            if cost < best_cost:
-                best_cost = cost
-            else:
+            yield current, cost
+            if cost >= best_cost:
                 break
-            current = list(reversed(current))
+            best_cost = cost
+            current = current[::-1]
 
 
 class ChanasBoth(Chanas):
@@ -195,51 +132,13 @@ class ChanasBoth(Chanas):
 
     name = "ChanasBoth"
 
-    def _anytime_candidates(
-        self,
-        rankings: Sequence[Ranking],
-        weights: PairwiseWeights,
-        initial: Ranking | None = None,
-    ) -> Iterator[Ranking]:
-        """Candidate stream: every start's rounds (warm-start ``initial``
-        first when given, then Borda, then the inputs)."""
-        cost_before = weights.cost_before()
-        starts = self._starts(rankings, weights)
-        if initial is not None:
-            starts.insert(0, self._warm_order(initial, weights))
-        for start in starts:
-            for candidate in self._chanas_rounds(start, cost_before):
-                yield Ranking.from_permutation(
-                    [weights.elements[i] for i in candidate]
-                )
-
     def _starts(
         self, rankings: Sequence[Ranking], weights: PairwiseWeights
     ) -> list[list[int]]:
         """Starting permutations: the Borda order, then every input (untied)."""
-        starts: list[list[int]] = [self._initial_order(rankings, weights)]
-        for ranking in rankings:
-            permutation = ranking.break_ties()
-            starts.append(
-                [weights.index_of[element] for element in permutation.elements()]
-            )
-        return starts
-
-    def _aggregate(
-        self, rankings: Sequence[Ranking], weights: PairwiseWeights
-    ) -> Ranking:
-        cost_before = weights.cost_before()
-        starts = self._starts(rankings, weights)
-        best_ranking: Ranking | None = None
-        best_score: int | None = None
-        for start in starts:
-            improved = self._chanas_procedure(start, cost_before)
-            candidate = Ranking.from_permutation([weights.elements[i] for i in improved])
-            score = generalized_kemeny_score_from_weights(candidate, weights)
-            if best_score is None or score < best_score:
-                best_ranking, best_score = candidate, score
-        assert best_ranking is not None
-        return best_ranking
+        return super()._starts(rankings, weights) + [
+            _untied_order(ranking, weights) for ranking in rankings
+        ]
 
 
 # --------------------------------------------------------------------------- #
@@ -247,6 +146,11 @@ class ChanasBoth(Chanas):
 # --------------------------------------------------------------------------- #
 # Positions tested per vectorised step of the sort pass's scan.
 _SCAN_BLOCK = 32
+
+
+def _untied_order(ranking: Ranking, weights: PairwiseWeights) -> list[int]:
+    """Index permutation of ``ranking`` with its ties broken."""
+    return [weights.index_of[element] for element in ranking.break_ties().elements()]
 
 
 def _permutation_cost(order: Sequence[int], cost_before: np.ndarray) -> int:

@@ -38,7 +38,6 @@ first (:mod:`repro.datasets.normalization`).
 
 from __future__ import annotations
 
-import hashlib
 import time
 from collections.abc import Iterable, Iterator, Mapping
 from typing import Any
@@ -48,7 +47,7 @@ import numpy as np
 from .arrays import position_tensor
 from .exceptions import DomainMismatchError, EmptyDatasetError
 from .pairwise import PairwiseWeights
-from .prepared import PreparedDataset, store_plan
+from .prepared import PreparedDataset, lines_fingerprint, store_plan
 from .ranking import Element, Ranking, format_ranking, parse_ranking
 
 __all__ = ["LiveDataset"]
@@ -255,8 +254,7 @@ class LiveDataset:
             for index, line in enumerate(lines):
                 if line is None:
                     lines[index] = format_ranking(self._rankings[index])
-            text = "\n".join(lines)
-            self._fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            self._fingerprint = lines_fingerprint(lines)
         return self._fingerprint
 
     # ------------------------------------------------------------------ #
@@ -411,6 +409,22 @@ class LiveDataset:
             {"op": op, "index": index, "ranking": self.line_at(index)},
             {"op": op, "index": index, "ranking": previous},
         )
+
+    def revert(self, inverse: Mapping[str, Any]) -> None:
+        """Undo the last :meth:`apply` with the inverse record it returned.
+
+        Content and generation both return to their values before that
+        write, as if it never happened (a write a journal refused leaves
+        the session at the generation the journal replays to).
+
+        Parameters
+        ----------
+        inverse:
+            The second item :meth:`apply` returned for the last write.
+        """
+        generation = self._generation - 1
+        self.apply(inverse)
+        self._generation = generation
 
     # ------------------------------------------------------------------ #
     # Snapshots

@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "PreparedDataset",
     "prepare_rankings",
     "rankings_fingerprint",
+    "lines_fingerprint",
     "cached_plan",
     "store_plan",
     "plan_build_count",
@@ -69,6 +70,13 @@ _plan_cache: "OrderedDict[str, PreparedDataset]" = OrderedDict()
 _build_count = 0
 
 
+def lines_fingerprint(lines: Iterable[str]) -> str:
+    """Content digest of canonical ranking text lines: the sha256 of the
+    lines joined by newlines, the one fingerprint format of a dataset's
+    content."""
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
 def rankings_fingerprint(rankings: Sequence[Ranking]) -> str:
     """Content digest of a sequence of rankings.
 
@@ -83,8 +91,7 @@ def rankings_fingerprint(rankings: Sequence[Ranking]) -> str:
     rankings:
         The rankings to digest, in dataset order.
     """
-    text = "\n".join(format_ranking(ranking) for ranking in rankings)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return lines_fingerprint(format_ranking(ranking) for ranking in rankings)
 
 
 class PreparedDataset:

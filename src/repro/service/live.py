@@ -28,8 +28,9 @@ mutation and published repair is appended to a
 replaying the journal into a byte-identical dataset and warm-starting the
 next repair from the last published consensus.  The write-ahead ordering is
 strict: a mutation whose journal append fails is **rolled back** (its
-inverse record applied) before the error propagates, so the set of
-acknowledged mutations is always a subset of the journaled ones.
+inverse record applied, its generation undone) before the error
+propagates, so the set of acknowledged mutations is always a subset of
+the journaled ones.
 """
 
 from __future__ import annotations
@@ -291,8 +292,8 @@ class LiveAggregationSession:
         applied by :meth:`~repro.core.live.LiveDataset.apply` (a refused
         record raises :class:`ValueError` and changes nothing).  With a
         journal attached, the resolved record is durably appended before
-        this returns; a failed append applies the inverse record and
-        re-raises.
+        this returns; a failed append reverts the write (content and
+        generation) and re-raises.
 
         Parameters
         ----------
@@ -319,7 +320,7 @@ class LiveAggregationSession:
                     )
                 )
             except Exception:
-                self.dataset.apply(inverse)
+                self.dataset.revert(inverse)
                 raise
         self._invalidate(old)
         return resolved

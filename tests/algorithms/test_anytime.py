@@ -1,16 +1,21 @@
 """Anytime-protocol semantics of the local-search family.
 
-The contract (see :mod:`repro.algorithms.anytime`): a deadline-bounded run
-always returns a valid consensus, the best score is monotone
-non-increasing across ``step()`` calls, and a search run to completion
-matches the batch ``aggregate()`` result exactly.
+The contract (see :mod:`repro.algorithms.anytime`): every candidate of an
+anytime stream carries its exact generalized Kemeny score, a
+deadline-bounded run always returns a valid consensus, the best score is
+monotone non-increasing across ``step()`` calls, and a search run to
+completion matches the batch ``aggregate()`` result exactly.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import (
+    ALGORITHM_FACTORIES,
     BioConsert,
     BordaCount,
     ChainedAggregator,
@@ -20,10 +25,11 @@ from repro.algorithms import (
     run_anytime,
     supports_anytime,
 )
-from repro.core.kemeny import generalized_kemeny_score
+from repro.core import PairwiseWeights, Ranking
+from repro.core.kemeny import generalized_kemeny_score, generalized_kemeny_score_from_weights
 from repro.generators import uniform_dataset
 
-from oracles import BioConsertOracle
+from oracles import BioConsertOracle, ChanasBothOracle, ChanasOracle
 
 ANYTIME_FACTORIES = {
     "BioConsert": lambda: BioConsert(),
@@ -115,3 +121,87 @@ class TestControllerBookkeeping:
             if not advanced_arrays:
                 break
         assert arrays.best_so_far() == reference.best_so_far()
+
+
+# Every anytime algorithm of the registry, plus the scalar oracles.
+STREAM_FACTORIES = {
+    name: factory
+    for name, factory in ALGORITHM_FACTORIES.items()
+    if supports_anytime(factory(seed=0))
+}
+STREAM_FACTORIES.update(
+    {
+        "Chanas(oracle)": lambda seed=None: ChanasOracle(seed=seed),
+        "ChanasBoth(oracle)": lambda seed=None: ChanasBothOracle(seed=seed),
+        "BioConsert(oracle)": lambda seed=None: BioConsertOracle(seed=seed),
+    }
+)
+
+
+def _rankings_with_ties(n: int, m: int, seed: int) -> list[Ranking]:
+    rng = np.random.default_rng(seed)
+    return [
+        Ranking.from_positions(
+            dict(enumerate(rng.integers(0, rng.integers(1, n + 1), size=n).tolist()))
+        )
+        for _ in range(m)
+    ]
+
+
+def _scored_stream(algorithm, rankings, weights, initial=None):
+    """The stream's candidates, each checked against an independent score."""
+    stream = list(algorithm._anytime_candidates(rankings, weights, initial=initial))
+    assert stream, "anytime search yielded no candidate"
+    for candidate, score in stream:
+        assert score == generalized_kemeny_score_from_weights(candidate, weights)
+    return stream
+
+
+# The annealing schedule runs ~1.5k plateaus whatever the size: fewer,
+# smaller examples keep those two streams to a few seconds.
+ANNEALING_STREAMS = sorted(
+    name for name in STREAM_FACTORIES if "SA" in name or "Annealing" in name
+)
+FAST_STREAMS = sorted(set(STREAM_FACTORIES) - set(ANNEALING_STREAMS))
+
+
+def assert_stream_contract(name: str, n: int, m: int, seed: int) -> None:
+    """Every yielded score is the candidate's generalized Kemeny score,
+    cold and warm-started, and the drained cold stream's first best is
+    ``aggregate()``'s consensus and score (BioConsert's lockstep batch
+    kernel included)."""
+    rankings = _rankings_with_ties(n, m, seed)
+    weights = PairwiseWeights(rankings)
+    factory = STREAM_FACTORIES[name]
+    best, best_score = None, None
+    for candidate, score in _scored_stream(factory(seed=seed), rankings, weights):
+        if best_score is None or score < best_score:
+            best, best_score = candidate, score
+    result = factory(seed=seed).aggregate(rankings)
+    assert result.consensus.buckets == best.buckets
+    assert result.score == best_score
+
+    initial = _rankings_with_ties(n, 1, seed + 1)[0]
+    _scored_stream(factory(seed=seed), rankings, weights, initial=initial)
+
+
+@pytest.mark.parametrize("name", FAST_STREAMS)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    m=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_local_search_stream_contract(name, n, m, seed):
+    assert_stream_contract(name, n, m, seed)
+
+
+@pytest.mark.parametrize("name", ANNEALING_STREAMS)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    m=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=4, deadline=None)
+def test_annealing_stream_contract(name, n, m, seed):
+    assert_stream_contract(name, n, m, seed)

@@ -233,7 +233,7 @@ def test_bioconsert_anytime_stream_matches_oracle(params, warm, max_sweeps):
     reference = BioConsertOracle(max_sweeps=max_sweeps)
     stream = library._anytime_candidates(rankings, weights, initial=initial)
     stream_reference = reference._anytime_candidates(rankings, weights, initial=initial)
-    assert [c.buckets for c in stream] == [c.buckets for c in stream_reference]
+    assert [(c.buckets, s) for c, s in stream] == [(c.buckets, s) for c, s in stream_reference]
     assert library._last_details() == reference._last_details()
 
     kwargs = {} if initial is None else {"initial": initial}
@@ -262,12 +262,12 @@ def test_bioconsert_refinement_matches_oracle(params, max_sweeps):
     start = random_ranking(params[0], params[2] + 2)
     library = BioConsert(max_sweeps=max_sweeps)
     reference = BioConsertOracle(max_sweeps=max_sweeps)
-    candidates = [c.buckets for c in library.anytime_refine(start, weights)]
-    assert candidates == [c.buckets for c in reference.anytime_refine(start, weights)]
+    candidates = [(c.buckets, s) for c, s in library.anytime_refine(start, weights)]
+    assert candidates == [(c.buckets, s) for c, s in reference.anytime_refine(start, weights)]
     assert library._sweeps_used == reference._sweeps_used == len(candidates) - 1
     refined = library.refine_from(start, weights)
     assert refined.buckets == reference.refine_from(start, weights).buckets
-    assert refined.buckets == candidates[-1]
+    assert refined.buckets == candidates[-1][0]
     assert library._sweeps_used == reference._sweeps_used
 
 
@@ -327,7 +327,9 @@ def assert_chanas_stream_matches_oracle(algorithm, oracle, rankings, initial=Non
         weights = PairwiseWeights(rankings)
         stream = algorithm()._anytime_candidates(rankings, weights, initial=initial)
         stream_reference = oracle()._anytime_candidates(rankings, weights, initial=initial)
-        assert [c.buckets for c in stream] == [c.buckets for c in stream_reference]
+        assert [(c.buckets, s) for c, s in stream] == [
+            (c.buckets, s) for c, s in stream_reference
+        ]
 
         kwargs = {} if initial is None else {"initial": initial}
         controllers = [

@@ -256,6 +256,23 @@ class TestApplyRecords:
         assert np.array_equal(live.weights().before_matrix, fresh.weights.before_matrix)
         assert np.array_equal(live.weights().tied_matrix, fresh.weights.tied_matrix)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"op": "add", "index": 0, "ranking": "[B],[A]"},
+            {"op": "remove", "index": 1},
+            {"op": "update", "index": 0, "ranking": "[A,B]"},
+        ],
+    )
+    def test_revert_restores_content_and_generation(self, record):
+        live = LiveDataset([Ranking([["A"], ["B"]]), Ranking([["B"], ["A"]])])
+        live.apply({"op": "add", "ranking": "[A],[B]"})
+        generation, fingerprint = live.generation, live.content_fingerprint()
+        _, inverse = live.apply(record)
+        live.revert(inverse)
+        assert live.generation == generation
+        assert live.content_fingerprint() == fingerprint
+
     def test_add_without_index_appends(self):
         live = LiveDataset([Ranking([["A"], ["B"]])])
         resolved, inverse = live.apply({"op": "add", "ranking": "[B],[A]"})

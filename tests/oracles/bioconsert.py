@@ -57,14 +57,16 @@ class BioConsertOracle(BioConsert):
 
     def _sweep_candidates(
         self, start: Ranking, weights: PairwiseWeights, rows: np.ndarray
-    ) -> Iterator[Ranking]:
-        """The anytime and refinement paths, on the list-of-buckets sweep."""
-        return self._list_sweeps(
+    ) -> Iterator[tuple[Ranking, int]]:
+        """The anytime and refinement paths, on the list-of-buckets sweep,
+        each candidate with its score."""
+        for candidate in self._list_sweeps(
             start,
             weights,
             weights.cost_before().astype(np.int64),
             weights.cost_tied().astype(np.int64),
-        )
+        ):
+            yield candidate, generalized_kemeny_score_from_weights(candidate, weights)
 
     def _list_sweeps(
         self,

@@ -17,14 +17,14 @@ class _ListSortPass:
 
     def _chanas_rounds(
         self, order: list[int], cost_before: np.ndarray
-    ) -> Iterator[list[int]]:
+    ) -> Iterator[tuple[list[int], int]]:
         current = list(order)
         best_cost = _permutation_cost(current, cost_before)
-        yield list(current)
+        yield list(current), best_cost
         for _ in range(self._max_rounds):
             current = _sort_pass_to_fixpoint(current, cost_before)
             cost = _permutation_cost(current, cost_before)
-            yield list(current)
+            yield list(current), cost
             if cost < best_cost:
                 best_cost = cost
             else:
