@@ -6,7 +6,7 @@ per algorithm, again for the post-run Kemeny score), while the plan path
 builds one :class:`repro.core.PreparedDataset` per dataset and threads it
 through the whole algorithm batch.
 
-Two benchmark families:
+Three benchmark families:
 
 * **cold multi-algorithm batch** at figure-2 scale (m = 7 rankings, n on
   the paper's scaling grid up to n = 500): the *prepared catalog* — the
@@ -20,13 +20,18 @@ Two benchmark families:
 * **ExactSubsetDP** at n = 12/14: the pure-Python ``n·2^n`` rowsum loops
   and per-subset popcount walks of the seed kernel (``ExactSubsetDPOracle``)
   against the NumPy bitmask subset-sum DP.
+* **ExactSubsetDP level pass** at n = 13, m = 50 (n = 9 at smoke): the
+  per-state loop (``ExactSubsetDPStateLoopOracle``, one Python iteration
+  per subset) against the level-synchronous kernel, which scores every
+  (state, submask) pair of one popcount level in fixed-size blocks.
 
 Outputs of both paths are asserted identical in the same run.  At
-``--scale default`` (and above) the acceptance floors of the PR are
-enforced: the cold batch must be ≥ 5× faster at the figure-2 grid cells
-(n = 400, 500) and ExactSubsetDP ≥ 2× at n = 12; the run fails if they
-regress.  The ``smoke`` grid keeps CI runs in seconds and asserts output
-equality only (shared CI runners make absolute timings unreliable).
+``--scale default`` (and above) the acceptance floors are enforced: the
+cold batch must be ≥ 5× faster at the figure-2 grid cells (n = 400, 500),
+ExactSubsetDP ≥ 2× at n = 12 and the level pass ≥ 3× at n = 13; the run
+fails if they regress.  The ``smoke`` grid keeps CI runs in seconds and
+asserts output equality only (shared CI runners make absolute timings
+unreliable).
 
 Run with::
 
@@ -58,6 +63,7 @@ from oracles import (  # noqa: E402
     BordaCountOracle,
     CopelandMethodOracle,
     ExactSubsetDPOracle,
+    ExactSubsetDPStateLoopOracle,
     KwikSortOracle,
     MEDRankOracle,
     PickAPermOracle,
@@ -104,9 +110,22 @@ _DP_GRID = {
     "default": [12, 14],
     "paper": [12, 14],
 }
+# (n, m) of the level-pass cell per scale: the size of batch-paper's
+# largest exact gap dataset.
+_LEVEL_GRID = {
+    "smoke": [(9, 50)],
+    "default": [(13, 50)],
+    "paper": [(13, 50)],
+}
 # Speedup floors asserted at scale "default" and above.
 _BATCH_FLOORS = {400: 5.0, 500: 5.0}
 _DP_FLOORS = {12: 2.0}
+_LEVEL_FLOORS = {13: 3.0}
+_FLOORS = {
+    "prepared_batch": _BATCH_FLOORS,
+    "exact_subset_dp": _DP_FLOORS,
+    "exact_subset_dp_levels": _LEVEL_FLOORS,
+}
 
 _BENCH_SEED_OFFSET = 77
 
@@ -182,59 +201,60 @@ def _bench_batches(grid, bench_seed: int):
     return cells
 
 
-def _bench_exact_dp(sizes, bench_seed: int):
-    cells = []
-    for n in sizes:
-        dataset = uniform_dataset(7, n, rng=bench_seed + 1, name=f"prep_dp_n{n}")
-        rankings = list(dataset.rankings)
-        bitmask = ExactSubsetDP()
-        reference = ExactSubsetDPOracle()
-        result_bitmask = bitmask.aggregate(rankings)   # warm-up + output check
-        result_reference = reference.aggregate(rankings)
-        assert result_bitmask.consensus.buckets == result_reference.consensus.buckets
-        assert result_bitmask.score == result_reference.score
-        repeats = 1 if n >= 12 else 3
-        seconds_bitmask = _median_seconds(lambda: bitmask.aggregate(rankings), repeats)
-        seconds_reference = _median_seconds(
-            lambda: reference.aggregate(rankings), repeats
-        )
-        cells.append(
-            {
-                "kernel": "exact_subset_dp",
-                "n": n,
-                "m": 7,
-                "seconds_seed_median": seconds_reference,
-                "seconds_prepared_median": seconds_bitmask,
-                "speedup": seconds_reference / seconds_bitmask,
-                "identical_output": True,
-                "repeats": repeats,
-            }
-        )
-    return cells
+def _bench_dp_cell(kernel: str, reference, n: int, m: int, bench_seed: int, *, repeats: int):
+    """Time ``ExactSubsetDP`` against the ``reference`` kernel on one
+    uniform dataset, after asserting that both return the same solution."""
+    dataset = uniform_dataset(m, n, rng=bench_seed + 1, name=f"prep_dp_n{n}")
+    rankings = list(dataset.rankings)
+    bitmask = ExactSubsetDP()
+    result_bitmask = bitmask.aggregate(rankings)   # warm-up + output check
+    result_reference = reference.aggregate(rankings)
+    assert result_bitmask.consensus.buckets == result_reference.consensus.buckets
+    assert result_bitmask.score == result_reference.score
+    seconds_bitmask = _median_seconds(lambda: bitmask.aggregate(rankings), repeats)
+    seconds_reference = _median_seconds(lambda: reference.aggregate(rankings), repeats)
+    return {
+        "kernel": kernel,
+        "n": n,
+        "m": m,
+        "seconds_seed_median": seconds_reference,
+        "seconds_prepared_median": seconds_bitmask,
+        "speedup": seconds_reference / seconds_bitmask,
+        "identical_output": True,
+        "repeats": repeats,
+    }
 
 
 def run_prepared_benchmark(scale_name: str, bench_seed: int = 2015) -> dict:
     """Run the full grid for ``scale_name`` and return the JSON payload."""
     batch_grid = _BATCH_GRID.get(scale_name, _BATCH_GRID["smoke"])
     dp_grid = _DP_GRID.get(scale_name, _DP_GRID["smoke"])
-    cells = _bench_batches(batch_grid, bench_seed) + _bench_exact_dp(
-        dp_grid, bench_seed
-    )
+    level_grid = _LEVEL_GRID.get(scale_name, _LEVEL_GRID["smoke"])
+    cells = _bench_batches(batch_grid, bench_seed)
+    cells += [
+        _bench_dp_cell("exact_subset_dp", ExactSubsetDPOracle(), n, 7, bench_seed,
+                       repeats=1 if n >= 12 else 3)
+        for n in dp_grid
+    ]
+    cells += [
+        _bench_dp_cell("exact_subset_dp_levels", ExactSubsetDPStateLoopOracle(), n, m,
+                       bench_seed, repeats=5)
+        for n, m in level_grid
+    ]
     payload = {
         "schema": "repro-bench-prepare/1",
         "scale": scale_name,
         "seed": bench_seed,
         "batch_suite": list(PREPARED_SUITE),
         "floors": {
-            "prepared_batch": {str(n): floor for n, floor in _BATCH_FLOORS.items()},
-            "exact_subset_dp": {str(n): floor for n, floor in _DP_FLOORS.items()},
+            kernel: {str(n): floor for n, floor in floors.items()}
+            for kernel, floors in _FLOORS.items()
         },
         "cells": cells,
     }
     if scale_name != "smoke":
         for cell in cells:
-            floors = _BATCH_FLOORS if cell["kernel"] == "prepared_batch" else _DP_FLOORS
-            floor = floors.get(cell["n"])
+            floor = _FLOORS[cell["kernel"]].get(cell["n"])
             if floor is not None:
                 assert cell["speedup"] >= floor, (
                     f"{cell['kernel']} at (n={cell['n']}, m={cell['m']}) regressed: "

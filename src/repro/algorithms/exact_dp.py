@@ -18,17 +18,18 @@ those buckets were chosen.  Hence the Bellman equation
 
     opt(S) = min_{∅ ≠ B ⊆ S} [ cross(B, S\\B) + ties(B) + opt(S\\B) ]
 
-over subsets encoded as bitmasks.  The total work is Θ(3^n); the
-recurrence runs on NumPy subset-sum tables: the per-subset row sums are
-built by doubling (``O(n·2^n)`` vectorised), ``cross(B, S\\B)`` decomposes
-into ``Σ_{a∈B} rowsum[a, S] − Σ_{a,b∈B} cost(a before b)`` so each state
-``S`` evaluates *all* its ``2^|S|`` candidate buckets with a handful of
-array ops — no per-submask Python walk, no per-element popcount loop.
+over subsets encoded as bitmasks.  The total work is Θ(3^n), all of it in
+NumPy: ``cross(B, S\\B)`` decomposes into ``Σ_{a∈B} rowsum[a, S]`` (a
+subset-sum table built by doubling) plus a per-bucket term that depends on
+``B`` alone.  A state of ``k`` elements depends only on smaller states, so
+the recurrence runs one popcount level at a time: every (state, submask)
+pair of the level is scored by the same few array operations, in blocks of
+a fixed number of entries (``_BLOCK_ENTRIES``) so that the working arrays
+stay cache-sized and peak memory does not grow with the level.
 
-Among equally good buckets the first one in decreasing bitmask order wins,
-so the reconstructed optimal ranking is deterministic, ties included.  The
-vectorised recurrence puts the practical ceiling at n = 16 (the default
-``max_elements``).
+Among equally good buckets the largest bitmask wins, so the reconstructed
+optimal ranking is deterministic, ties included.  The practical ceiling is
+n = 16 (the default ``max_elements``).
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ from .base import RankAggregator
 __all__ = ["ExactSubsetDP"]
 
 _MAX_ELEMENTS = 16
+# (state, submask) entries scored per block of a popcount level.  Fixed, not
+# sized from the level: at 2^15 a block's arrays stay cache-sized, and larger
+# blocks measured both slower and higher in peak memory.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def _subset_sums(costs: np.ndarray) -> np.ndarray:
@@ -66,26 +71,21 @@ def _subset_sums(costs: np.ndarray) -> np.ndarray:
     return table
 
 
-def _pair_sums(rowsum: np.ndarray, colsum: np.ndarray) -> np.ndarray:
-    """``out[mask] = Σ_{a, b ∈ mask} cost[a, b]`` from the subset-sum tables.
+def _bucket_base(cost_before: np.ndarray, cost_tied: np.ndarray) -> np.ndarray:
+    """``base[mask] = ties(mask) − Σ_{a, b ∈ mask} cost_before[a, b]``.
 
-    Lowest-bit recurrence, vectorised over all masks sharing a lowest bit:
-    adding element ``a0`` to ``rest`` adds its row and column sums over
-    ``rest`` (the diagonal is zero).
-
-    Parameters
-    ----------
-    rowsum:
-        ``rowsum[a, mask] = Σ_{b ∈ mask} cost[a, b]``.
-    colsum:
-        ``colsum[a, mask] = Σ_{b ∈ mask} cost[b, a]``.
+    Lowest-bit recurrence over one subset-sum table: adding element ``a0``
+    to ``rest`` adds ``Σ_{b ∈ rest} D[a0, b]`` with ``D = cost_tied −
+    cost_before − cost_beforeᵀ`` (each tied pair once, each ordered
+    before-pair both ways; the diagonal is never read).
     """
-    n = rowsum.shape[0]
-    out = np.zeros(1 << n, dtype=np.int64)
+    n = cost_before.shape[0]
+    pair_sums = _subset_sums(cost_tied - cost_before - cost_before.T)
+    base = np.zeros(1 << n, dtype=np.int64)
     for b in range(n - 1, -1, -1):
         rests = np.arange(1 << (n - 1 - b), dtype=np.int64) << (b + 1)
-        out[rests | (1 << b)] = out[rests] + rowsum[b, rests] + colsum[b, rests]
-    return out
+        base[rests | (1 << b)] = base[rests] + pair_sums[b, rests]
+    return base
 
 
 class ExactSubsetDP(RankAggregator):
@@ -109,9 +109,10 @@ class ExactSubsetDP(RankAggregator):
         ----------
         max_elements:
             Refuse datasets with more elements than this (the DP is
-            Θ(3^n)); the default of 16 is practical for the vectorised
-            recurrence.
+            Θ(3^n)); the default of 16 is practical for the level pass.
         """
+        if isinstance(max_elements, bool) or not isinstance(max_elements, int) or max_elements < 0:
+            raise ValueError(f"max_elements must be an int >= 0, got {max_elements!r}")
         super().__init__(seed=seed)
         self._max_elements = max_elements
         self._optimal_score: int | None = None
@@ -136,48 +137,46 @@ class ExactSubsetDP(RankAggregator):
     def _solve(
         self, n: int, cost_before: np.ndarray, cost_tied: np.ndarray
     ) -> list[list[int]]:
-        """Bottom-up DP with vectorised per-state bucket evaluation.
+        """Bottom-up DP, one popcount level at a time.
 
-        For a state ``S``, every candidate bucket ``B ⊆ S`` is scored as
-        ``(h(B) − g[B]) + ties[B] + opt[S \\ B]`` where ``h(B) =
-        Σ_{a∈B} rowsum[a, S]`` (a subset-sum over ``S`` built by doubling)
-        and ``g[B] = Σ_{a,b∈B} cost_before[a, b]`` corrects the overcount —
-        so ``h(B) − g[B] = cross(B, S\\B)`` exactly.  The argmin below
-        picks the largest minimising submask: the first minimum in
-        decreasing mask order.
+        A bucket ``B ⊆ S`` scores ``h(B) + base[B] + opt[S \\ B]``, where
+        ``h(B) = Σ_{a∈B} rowsum[a, S]`` and ``base[B] = ties[B] − g[B]``
+        with ``g[B] = Σ_{a,b∈B} cost_before[a, b]`` correcting the
+        overcount, so ``h(B) − g[B] = cross(B, S\\B)`` exactly.  Level ``k``
+        takes its states in blocks of ``_BLOCK_ENTRIES`` (state, submask)
+        entries (at least one state); ``k`` doublings over each state's bits
+        in increasing order list its submasks in increasing mask order, with
+        their ``h``.  The last minimum of a row, i.e. the largest minimising
+        submask, is the state's bucket.
         """
         rowsum = _subset_sums(cost_before)
-        colsum = _subset_sums(cost_before.T)
-        tied_rowsum = _subset_sums(cost_tied)
-        # ties[mask]: internal tie cost = half the ordered-pair sum; built
-        # directly from the (symmetric) tied table's lowest-bit recurrence.
+        base = _bucket_base(cost_before, cost_tied)
         n_states = 1 << n
-        ties = np.zeros(n_states, dtype=np.int64)
-        for b in range(n - 1, -1, -1):
-            rests = np.arange(1 << (n - 1 - b), dtype=np.int64) << (b + 1)
-            ties[rests | (1 << b)] = ties[rests] + tied_rowsum[b, rests]
-        g = _pair_sums(rowsum, colsum)
-
         opt = np.zeros(n_states, dtype=np.int64)
         choice = np.zeros(n_states, dtype=np.int64)
-        for state in range(1, n_states):
-            subs = np.zeros(1, dtype=np.int64)
-            hsum = np.zeros(1, dtype=np.int64)
-            probe = state
-            while probe:
-                low = probe & -probe
-                b = low.bit_length() - 1
-                subs = np.concatenate((subs, subs | low))
-                hsum = np.concatenate((hsum, hsum + rowsum[b, state]))
-                probe ^= low
-            buckets = subs[1:]
-            candidates = (
-                hsum[1:] - g[buckets] + ties[buckets] + opt[state ^ buckets]
-            )
-            # First minimum in decreasing mask order == last in increasing.
-            best = candidates.size - 1 - int(np.argmin(candidates[::-1]))
-            opt[state] = candidates[best]
-            choice[state] = buckets[best]
+        popcount = np.zeros(1, dtype=np.int64)
+        for _ in range(n):
+            popcount = np.concatenate((popcount, popcount + 1))
+        shifts = np.arange(n, dtype=np.int64)
+        for k in range(1, n + 1):
+            level = np.flatnonzero(popcount == k)
+            width = 1 << k
+            step = max(1, _BLOCK_ENTRIES // width)
+            for start in range(0, level.size, step):
+                states = level[start : start + step]
+                bits = np.nonzero((states[:, None] >> shifts) & 1)[1]
+                subs = np.zeros((states.size, 1), dtype=np.int64)
+                hsum = np.zeros((states.size, 1), dtype=np.int64)
+                for bit in bits.reshape(-1, k).T:
+                    subs = np.concatenate((subs, subs | (1 << bit)[:, None]), axis=1)
+                    hsum = np.concatenate((hsum, hsum + rowsum[bit, states][:, None]), axis=1)
+                subs = subs[:, 1:]
+                candidates = hsum[:, 1:] + base[subs] + opt[states[:, None] ^ subs]
+                # Last minimum of each row: the largest minimising submask.
+                best = width - 2 - np.argmin(candidates[:, ::-1], axis=1)
+                rows = np.arange(states.size)
+                opt[states] = candidates[rows, best]
+                choice[states] = subs[rows, best]
 
         full = n_states - 1
         self._optimal_score = int(opt[full])

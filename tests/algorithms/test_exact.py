@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,13 +18,17 @@ from repro.algorithms import (
     KwikSort,
     build_lpb_program,
 )
+from repro.algorithms import exact_dp
 from repro.core import (
     AlgorithmNotApplicableError,
     PairwiseWeights,
     Ranking,
     generalized_kemeny_score,
 )
+from repro.experiments.config import AdaptiveExact
 from repro.generators import uniform_dataset
+
+from oracles import ExactSubsetDPOracle, ExactSubsetDPStateLoopOracle
 
 
 class TestExactSubsetDP:
@@ -56,6 +63,39 @@ class TestExactSubsetDP:
         algorithm = ExactSubsetDP()
         result = algorithm.aggregate(paper_example_rankings)
         assert result.details["optimal_score"] == 5
+
+    @pytest.mark.parametrize(
+        "max_elements", [True, False, 2.5, 7.0, -1, "7", None, np.int64(7)]
+    )
+    def test_rejects_invalid_max_elements(self, max_elements):
+        with pytest.raises(ValueError, match="max_elements"):
+            ExactSubsetDP(max_elements=max_elements)
+        with pytest.raises(ValueError, match="max_elements"):
+            AdaptiveExact(dp_max_elements=max_elements)
+
+    @pytest.mark.parametrize("max_elements", [0, 1, 16])
+    def test_accepts_int_max_elements(self, max_elements):
+        algorithm = ExactSubsetDP(max_elements=max_elements)
+        dataset = uniform_dataset(3, max_elements + 1, rng=0)
+        with pytest.raises(AlgorithmNotApplicableError, match=f"at most {max_elements} "):
+            algorithm.aggregate(dataset)
+
+    def test_n16_ceiling_fits_in_memory(self):
+        """At the default ceiling (n = 16) the level pass stays within a
+        bounded peak and still returns a consensus achieving its score."""
+        rankings = list(uniform_dataset(10, 16, rng=16).rankings)
+        tracemalloc.start()
+        try:
+            result = ExactSubsetDP().aggregate(rankings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
+        assert result.score == generalized_kemeny_score(result.consensus, rankings)
+        assert result.score == result.details["optimal_score"]
+        for candidate in rankings:
+            assert result.score <= generalized_kemeny_score(candidate, rankings)
+        assert result.score <= BioConsert().aggregate(rankings).score
 
 
 class TestLPBProgram:
@@ -156,3 +196,51 @@ def test_optimum_no_worse_than_any_input(rankings):
     optimal = ExactSubsetDP().aggregate(rankings).score
     for candidate in rankings:
         assert optimal <= generalized_kemeny_score(candidate, rankings)
+
+
+@st.composite
+def tie_heavy_dataset(draw, max_n):
+    """Random datasets that tie many candidate buckets: independent tied
+    rankings, identical rankings, all-tied rankings, and a dataset plus its
+    mirror (every pair costs the same both ways)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    m = draw(st.integers(min_value=1, max_value=4))
+    shape = draw(st.sampled_from(["random", "identical", "all_tied", "mirrored"]))
+    levels = draw(st.integers(min_value=1, max_value=n))
+    position = st.integers(min_value=0, max_value=levels - 1)
+
+    def ranking():
+        positions = draw(st.lists(position, min_size=n, max_size=n))
+        return Ranking.from_positions(dict(enumerate(positions)))
+
+    if shape == "identical":
+        return [ranking()] * m
+    if shape == "all_tied":
+        return [Ranking([list(range(n))])] * m
+    rankings = [ranking() for _ in range(m)]
+    if shape == "mirrored":
+        rankings += [candidate.reversed() for candidate in rankings]
+    return rankings
+
+
+def _assert_same_solution(rankings, reference):
+    expected = reference.aggregate(rankings)
+    for block in (exact_dp._BLOCK_ENTRIES, 4):
+        # A tiny block puts block edges inside every popcount level.
+        with mock.patch.object(exact_dp, "_BLOCK_ENTRIES", block):
+            result = ExactSubsetDP().aggregate(rankings)
+        assert result.consensus.buckets == expected.consensus.buckets
+        assert result.score == expected.score
+        assert result.details["optimal_score"] == expected.details["optimal_score"]
+
+
+@given(tie_heavy_dataset(max_n=12))
+@settings(max_examples=40, deadline=None)
+def test_level_pass_matches_state_loop_oracle(rankings):
+    _assert_same_solution(rankings, ExactSubsetDPStateLoopOracle())
+
+
+@given(tie_heavy_dataset(max_n=8))
+@settings(max_examples=40, deadline=None)
+def test_level_pass_matches_python_oracle(rankings):
+    _assert_same_solution(rankings, ExactSubsetDPOracle())

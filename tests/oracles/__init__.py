@@ -26,7 +26,7 @@ from .distances import (
     generalized_kendall_tau_distance_reference,
     pairwise_distance_matrix_reference,
 )
-from .exact_dp import ExactSubsetDPOracle
+from .exact_dp import ExactSubsetDPOracle, ExactSubsetDPStateLoopOracle
 from .kwiksort import KwikSortOracle
 from .medrank import MEDRankOracle
 from .pick_a_perm import PickAPermOracle
@@ -40,6 +40,7 @@ __all__ = [
     "ChanasOracle",
     "CopelandMethodOracle",
     "ExactSubsetDPOracle",
+    "ExactSubsetDPStateLoopOracle",
     "KwikSortOracle",
     "MEDRankOracle",
     "PickAPermOracle",

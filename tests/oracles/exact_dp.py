@@ -1,4 +1,4 @@
-"""ExactSubsetDP as a per-mask pure-Python enumeration."""
+"""ExactSubsetDP as a per-mask pure-Python enumeration and as a per-state loop."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.algorithms import ExactSubsetDP
+from repro.algorithms.exact_dp import _subset_sums
 
 
 class ExactSubsetDPOracle(ExactSubsetDP):
@@ -76,3 +77,69 @@ class ExactSubsetDPOracle(ExactSubsetDP):
             remaining ^= bucket_mask
         solve.cache_clear()
         return buckets
+
+
+def _pair_sums(rowsum: np.ndarray, colsum: np.ndarray) -> np.ndarray:
+    """``out[mask] = Σ_{a, b ∈ mask} cost[a, b]`` from the subset-sum tables.
+
+    Lowest-bit recurrence, vectorised over all masks sharing a lowest bit:
+    adding element ``a0`` to ``rest`` adds its row and column sums over
+    ``rest`` (the diagonal is zero).
+    """
+    n = rowsum.shape[0]
+    out = np.zeros(1 << n, dtype=np.int64)
+    for b in range(n - 1, -1, -1):
+        rests = np.arange(1 << (n - 1 - b), dtype=np.int64) << (b + 1)
+        out[rests | (1 << b)] = out[rests] + rowsum[b, rests] + colsum[b, rests]
+    return out
+
+
+class ExactSubsetDPStateLoopOracle(ExactSubsetDP):
+    """:class:`~repro.algorithms.ExactSubsetDP` with one Python iteration per
+    subset state, each scoring all of the state's buckets with NumPy."""
+
+    def _solve(
+        self, n: int, cost_before: np.ndarray, cost_tied: np.ndarray
+    ) -> list[list[int]]:
+        rowsum = _subset_sums(cost_before)
+        colsum = _subset_sums(cost_before.T)
+        tied_rowsum = _subset_sums(cost_tied)
+        # ties[mask]: internal tie cost = half the ordered-pair sum; built
+        # directly from the (symmetric) tied table's lowest-bit recurrence.
+        n_states = 1 << n
+        ties = np.zeros(n_states, dtype=np.int64)
+        for b in range(n - 1, -1, -1):
+            rests = np.arange(1 << (n - 1 - b), dtype=np.int64) << (b + 1)
+            ties[rests | (1 << b)] = ties[rests] + tied_rowsum[b, rests]
+        g = _pair_sums(rowsum, colsum)
+
+        opt = np.zeros(n_states, dtype=np.int64)
+        choice = np.zeros(n_states, dtype=np.int64)
+        for state in range(1, n_states):
+            subs = np.zeros(1, dtype=np.int64)
+            hsum = np.zeros(1, dtype=np.int64)
+            probe = state
+            while probe:
+                low = probe & -probe
+                b = low.bit_length() - 1
+                subs = np.concatenate((subs, subs | low))
+                hsum = np.concatenate((hsum, hsum + rowsum[b, state]))
+                probe ^= low
+            buckets = subs[1:]
+            candidates = (
+                hsum[1:] - g[buckets] + ties[buckets] + opt[state ^ buckets]
+            )
+            # First minimum in decreasing mask order == last in increasing.
+            best = candidates.size - 1 - int(np.argmin(candidates[::-1]))
+            opt[state] = candidates[best]
+            choice[state] = buckets[best]
+
+        full = n_states - 1
+        self._optimal_score = int(opt[full])
+        result: list[list[int]] = []
+        remaining = full
+        while remaining:
+            bucket_mask = int(choice[remaining])
+            result.append([i for i in range(n) if bucket_mask & (1 << i)])
+            remaining ^= bucket_mask
+        return result
